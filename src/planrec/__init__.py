@@ -12,12 +12,10 @@ from .grammar import (
     ValidationReport,
     build_library,
     parse_library,
-    reachable_from_goals,
-    rules_containing,
     serialize_library,
     validate_library,
 )
-from .metrics import CombinationCounter, RunRecord, StepMetrics, predicted_bound
+from .metrics import CombinationCounter, RunRecord, StepMetrics, drive, predicted_bound
 from .phatt import (
     HypothesisSet,
     LeftmostTree,
@@ -28,11 +26,9 @@ from .phatt import (
     hypothesis_probability,
     leftmost_trees,
     phatt_recognize,
-    phatt_step,
 )
 from .runner import emit_hypotheses, run_benchmark, run_recognition
 from .slim import (
-    DedupStore,
     Fragment,
     SlimEngine,
     TopDownConfig,
@@ -42,9 +38,7 @@ from .slim import (
     combine_independently,
     create_fragments,
     k_best,
-    slim_bottom_up_step,
     slim_recognize,
-    top_down,
 )
 from .trees import (
     EMPTY_HYPOTHESIS,
@@ -54,7 +48,6 @@ from .trees import (
     OrderingViolation,
     PlanNode,
     SymbolMismatch,
-    canonical_form,
     check_temporal_consistency,
     enabled_frontier,
     fuse,

@@ -19,9 +19,23 @@ from .runner import (
     EXIT_PARSE,
     EXIT_RECOGNITION,
     format_summary,
+    load_library,
+    parse_k,
     run_benchmark,
     run_recognition,
 )
+
+
+def k_list(text: str) -> list[int | None]:
+    """Comma-separated top-down budgets, each checked by :func:`parse_k`."""
+    return [parse_k(v.strip()) for v in text.split(",") if v.strip()]
+
+
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise ValueError(f"{value} is below 1")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -35,8 +49,9 @@ def build_parser() -> argparse.ArgumentParser:
     rec.add_argument("--library", required=True)
     rec.add_argument("--observations", required=True)
     rec.add_argument("--algorithm", required=True, choices=["phatt", "slim"])
-    rec.add_argument("--k", default="0", help="top-down budget for slim: an integer or 'all'")
-    rec.add_argument("--max-depth", type=int, default=None)
+    rec.add_argument("--k", type=parse_k, default="0",
+                     help="top-down budget for slim: an integer or 'all'")
+    rec.add_argument("--max-depth", type=positive_int, default=None)
     rec.add_argument("--emit-hypotheses", default=None, metavar="PATH")
     rec.add_argument("--metrics-csv", default=None, metavar="PATH")
     rec.add_argument("--no-prune", action="store_true",
@@ -64,10 +79,10 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--obs-dir", required=True)
     bench.add_argument("--algorithms", default="phatt,slim",
                        help="comma-separated: phatt,slim")
-    bench.add_argument("--k-list", default="0",
+    bench.add_argument("--k-list", type=k_list, default="0",
                        help="comma-separated top-down budgets for slim, e.g. 0,100,all")
     bench.add_argument("--metrics-csv", default=None, metavar="PATH")
-    bench.add_argument("--max-depth", type=int, default=None)
+    bench.add_argument("--max-depth", type=positive_int, default=None)
     bench.add_argument("--no-prune", action="store_true")
 
     return parser
@@ -114,8 +129,6 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if args.command == "simulate":
-        from .runner import load_library
-
         lib = load_library(args.library)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -128,11 +141,8 @@ def _dispatch(args) -> int:
 
     if args.command == "bench":
         algorithms = [a.strip() for a in args.algorithms.split(",") if a.strip()]
-        from .runner import parse_k
-
-        k_values = [parse_k(v.strip()) for v in args.k_list.split(",") if v.strip()]
         summary = run_benchmark(
-            args.library, args.obs_dir, algorithms, k_values,
+            args.library, args.obs_dir, algorithms, args.k_list,
             csv_path=args.metrics_csv, max_depth=args.max_depth,
             prune=not args.no_prune,
         )

@@ -6,7 +6,8 @@ and production rules ``lhs -> rhs`` annotated with ordering constraints over
 RHS positions and a rule probability. A constraint pair ``(i, j)`` means the
 i-th constituent must be fully executed before the j-th may begin.
 
-Libraries are immutable once built and safe to share across recognizers.
+Libraries never change once built, apart from their ``tree_cache`` memo,
+and are safe to share across recognizers.
 """
 
 from __future__ import annotations
@@ -98,10 +99,13 @@ def _close_constraints(
 
 
 class PlanLibrary:
-    """An immutable, fully indexed plan library.
+    """A fully indexed plan library.
 
     Use :func:`parse_library` or :func:`build_library` instead of calling the
-    constructor directly; they perform all validation.
+    constructor directly; they perform all validation. The one mutable
+    member is ``tree_cache``, a memo of immutable nodes derived from the
+    library (each symbol's shared open node, each nonterminal's generalized
+    fragments); filling it never changes a result.
     """
 
     def __init__(self, symbols: tuple[Symbol, ...], goals: tuple[int, ...], rules: tuple[Rule, ...]):
@@ -123,7 +127,6 @@ class PlanLibrary:
         )
         self.acyclic_depth = self._compute_depth()
         self.ambiguous_rhs = len({(r.lhs, r.rhs) for r in rules}) < len(rules)
-        # scratch space for derived immutable structures (open nodes, fragments)
         self.tree_cache: dict = {}
 
     # -- lookups ---------------------------------------------------------
@@ -140,13 +143,11 @@ class PlanLibrary:
     def is_terminal(self, idx: int) -> bool:
         return self.symbols[idx].terminal
 
-    def is_goal(self, idx: int) -> bool:
-        return self.symbols[idx].goal
-
     def rules_for(self, head: int) -> tuple[Rule, ...]:
         return self.rules_by_head.get(head, ())
 
     def containing(self, sym: int) -> tuple[tuple[Rule, int], ...]:
+        """All (rule, position) pairs whose RHS mentions ``sym`` (0-based positions)."""
         if not 0 <= sym < len(self.symbols):
             raise LibraryError(f"unknown symbol id {sym}")
         return self._containing.get(sym, ())
@@ -436,13 +437,3 @@ def validate_library(lib: PlanLibrary) -> ValidationReport:
                 )
             )
     return ValidationReport(tuple(issues))
-
-
-def rules_containing(lib: PlanLibrary, sym: int) -> tuple[tuple[Rule, int], ...]:
-    """All (rule, position) pairs whose RHS mentions ``sym`` (0-based positions)."""
-    return lib.containing(sym)
-
-
-def reachable_from_goals(lib: PlanLibrary) -> frozenset[int]:
-    """Least symbol set containing the goals and closed under rule expansion."""
-    return lib.reachable

@@ -1,4 +1,4 @@
-"""Per-step benchmark metrics shared by both recognition engines.
+"""Per-step benchmark metrics and the driver loop shared by both engines.
 
 The combination counter is the single instrumentation point both engines
 increment, once per attempted (hypothesis, insertion point, candidate)
@@ -8,7 +8,10 @@ validity check, so cross-engine comparisons are like-for-like.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
+
+from .trees import EMPTY_HYPOTHESIS
 
 
 class CombinationCounter:
@@ -80,3 +83,24 @@ def snapshot(step: int, hypotheses, algorithm: str, b: int,
     algo = "slim" if algorithm.startswith("slim") else "phatt"
     bound = predicted_bound(algo, max(1, frontier), max(1, b), max(1, depth))
     return StepMetrics(step, count, combinations, frontier, depth, bound, elapsed_us)
+
+
+def drive(lib, obs_names, step, counter: CombinationCounter, algorithm: str,
+          steps: list[StepMetrics], hook=None) -> tuple:
+    """Feed ``obs_names`` one at a time through ``step(hyps, sym, ts) -> hyps``
+    from the empty hypothesis, appending a :class:`StepMetrics` row (timing
+    ``step`` alone) to ``steps`` and calling ``hook(ts, hyps)`` after each.
+    Returns the final hypotheses. A ``RecognitionFailure`` propagates and
+    leaves the earlier steps' rows in ``steps``."""
+    hyps = (EMPTY_HYPOTHESIS,)
+    b = lib.max_or_branching
+    for ts, name in enumerate(obs_names, start=1):
+        sym = lib.sym(name)
+        before = counter.n
+        t0 = time.perf_counter_ns()
+        hyps = step(hyps, sym, ts)
+        elapsed = (time.perf_counter_ns() - t0) // 1000
+        steps.append(snapshot(ts, hyps, algorithm, b, counter.n - before, elapsed))
+        if hook is not None:
+            hook(ts, hyps)
+    return hyps

@@ -11,12 +11,11 @@ top-down compiler.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Mapping
 
 from .grammar import PROB_TOL, LibraryError, PlanLibrary
-from .metrics import CombinationCounter, StepMetrics, snapshot
+from .metrics import CombinationCounter, drive
 from .trees import (
     EMPTY_HYPOTHESIS,
     Hypothesis,
@@ -63,12 +62,13 @@ class PhattConfig:
         if abs(total - 1.0) > PROB_TOL:
             raise ValueError(f"goal priors sum to {total!r}, expected 1")
 
-    @staticmethod
-    def for_library(lib: PlanLibrary, max_depth: int | None = None,
+    @classmethod
+    def for_library(cls, lib: PlanLibrary, max_depth: int | None = None,
                     goal_prior: Mapping[int, float] | None = None) -> "PhattConfig":
+        """Defaults: :func:`default_max_depth` and uniform goal priors."""
         if goal_prior is None:
             goal_prior = {g: 1.0 / len(lib.goals) for g in lib.goals}
-        return PhattConfig(max_depth or default_max_depth(lib), goal_prior)
+        return cls(default_max_depth(lib) if max_depth is None else max_depth, goal_prior)
 
 
 @dataclass(frozen=True)
@@ -81,10 +81,6 @@ class LeftmostTree:
 
     root: PlanNode
     path: Path
-
-    @property
-    def depth(self) -> int:
-        return len(self.path)
 
 
 def leftmost_trees(lib: PlanLibrary, target: int, roots, max_depth: int) -> tuple[LeftmostTree, ...]:
@@ -130,11 +126,9 @@ class HypothesisSet:
 class PhattEngine:
     """Stateful wrapper caching leftmost trees and frontier computations.
 
-    The caches never affect results; :func:`phatt_step` is a pure function of
-    its arguments.
+    The caches never affect results: :meth:`step` is a pure function of its
+    arguments, whatever the engine has seen before.
     """
-
-    algorithm = "phatt"
 
     def __init__(self, lib: PlanLibrary, cfg: PhattConfig | None = None,
                  counter: CombinationCounter | None = None):
@@ -233,21 +227,6 @@ class PhattEngine:
         ordered = tuple(sorted(out.values(), key=lambda h: h.canon))
         return HypothesisSet(n, ordered)
 
-    def run(self, obs_names: list[str]) -> tuple[HypothesisSet, list[StepMetrics]]:
-        """Recognize a whole sequence, recording per-step metrics."""
-        hset = HypothesisSet.initial()
-        steps: list[StepMetrics] = []
-        b = self.lib.max_or_branching
-        for name in obs_names:
-            obs = self.lib.sym(name)
-            before = self.counter.n
-            t0 = time.perf_counter_ns()
-            hset = self.step(hset, obs)
-            elapsed = (time.perf_counter_ns() - t0) // 1000
-            steps.append(snapshot(hset.step, hset.hypotheses, self.algorithm, b,
-                                  self.counter.n - before, elapsed))
-        return hset, steps
-
 
 def _merge(out: dict[str, Hypothesis], cand: Hypothesis):
     prev = out.get(cand.canon)
@@ -260,17 +239,16 @@ def _merge(out: dict[str, Hypothesis], cand: Hypothesis):
         )
 
 
-def phatt_step(lib: PlanLibrary, h_prev: HypothesisSet, obs: int,
-               cfg: PhattConfig, counter: CombinationCounter | None = None) -> HypothesisSet:
-    """One incremental PHATT step (pure function; see :class:`PhattEngine`)."""
-    return PhattEngine(lib, cfg, counter).step(h_prev, obs)
-
-
 def phatt_recognize(lib: PlanLibrary, obs_names: list[str],
                     cfg: PhattConfig | None = None,
                     counter: CombinationCounter | None = None):
-    """Run PHATT over a whole observation sequence."""
-    return PhattEngine(lib, cfg, counter).run(obs_names)
+    """Run PHATT over a whole sequence; returns ``(hypothesis_set, steps)``."""
+    engine = PhattEngine(lib, cfg, counter)
+    steps = []
+    hyps = drive(lib, obs_names,
+                 lambda hyps, sym, ts: engine.step(HypothesisSet(ts - 1, hyps), sym).hypotheses,
+                 engine.counter, "phatt", steps)
+    return HypothesisSet(len(obs_names), hyps), steps
 
 
 def hypothesis_probability(h: Hypothesis, lib: PlanLibrary, cfg: PhattConfig) -> float:

@@ -1,5 +1,8 @@
 """Recognition runs, hypothesis dumps, and the benchmark harness.
 
+Each run feeds one engine through :func:`planrec.metrics.drive`; one SLIM
+engine per instance serves every top-down ``k``, sharing its memos.
+
 Emits one metrics CSV row per (instance, algorithm, step) with the fixed
 schema ``instance,algorithm,step,hypotheses,combinations,frontier,max_depth,
 predicted_bound,elapsed_us,status``. Rows are byte-identical across repeated
@@ -9,15 +12,15 @@ runs with equal inputs, except for the elapsed timing columns.
 from __future__ import annotations
 
 import csv
-import time
+from functools import partial
 from pathlib import Path
 from typing import Callable, Iterable
 
 from .grammar import PlanLibrary, parse_library
-from .metrics import RunRecord, snapshot
+from .metrics import RunRecord, drive
 from .phatt import HypothesisSet, PhattConfig, PhattEngine, RecognitionFailure
-from .slim import SlimEngine, TopDownConfig
-from .trees import EMPTY_HYPOTHESIS, Hypothesis
+from .slim import SlimEngine, TopDownConfig, k_best
+from .trees import Hypothesis
 
 EXIT_OK = 0
 EXIT_RECOGNITION = 2
@@ -65,95 +68,59 @@ def run_recognition(library_path: str | Path, obs_path: str | Path, algorithm: s
                     step_hook: StepHook | None = None) -> RunRecord:
     """Run one engine over one observation file, recording per-step metrics.
 
-    Raises :class:`RecognitionFailure` when some observation cannot be
-    explained (after writing the CSV row recording the failure).
+    Raises the engine's :class:`RecognitionFailure` when some observation
+    cannot be explained (after writing the CSV rows of the steps before it
+    and of the failure).
     """
     lib = load_library(library_path)
     obs = read_observations(obs_path)
     instance = instance or Path(obs_path).stem
-    k = parse_k(k)
-    if algorithm == "phatt":
-        records = [_run_phatt(lib, obs, max_depth, instance, step_hook, emit_path)]
-    elif algorithm == "slim":
-        records = _run_slim(lib, obs, [k], max_depth, prune, instance, step_hook,
-                            emit_path)
-    else:
-        raise ValueError(f"unknown algorithm {algorithm!r}")
+    records, failure = _run(lib, obs, algorithm, [parse_k(k)], max_depth, prune,
+                            instance, step_hook, emit_path)
     if csv_path is not None:
         write_metrics_csv(records, csv_path)
-    record = records[0]
-    if record.status != "ok":
-        raise RecognitionFailure(int(record.status.split("@")[1]), "")
-    return record
+    if failure is not None:
+        raise failure
+    return records[0]
 
 
-def _run_phatt(lib: PlanLibrary, obs: list[str], max_depth: int | None,
-               instance: str, hook: StepHook | None = None,
-               emit_path: str | Path | None = None) -> RunRecord:
-    engine = PhattEngine(lib, PhattConfig.for_library(lib, max_depth))
-    hset = HypothesisSet.initial()
+def _run(lib: PlanLibrary, obs: list[str], algorithm: str, k_values: list[int | None],
+         max_depth: int | None, prune: bool, instance: str,
+         hook: StepHook | None = None, emit_path: str | Path | None = None
+         ) -> tuple[list[RunRecord], RecognitionFailure | None]:
+    """One engine over one sequence: a record per variant (PHATT, or each SLIM
+    ``k`` compiled by the same engine), and the failure that stopped it, if any."""
+    if algorithm == "phatt":
+        engine = PhattEngine(lib, PhattConfig.for_library(lib, max_depth))
+
+        def step(hyps, sym, ts):
+            return engine.step(HypothesisSet(ts - 1, hyps), sym).hypotheses
+
+        variants = [("phatt", 0)]  # goal-rooted already: nothing to compile
+    elif algorithm == "slim":
+        engine = SlimEngine(lib, TopDownConfig.for_library(lib, k=None, max_depth=max_depth),
+                            prune)
+        step = engine.step
+        variants = [(algorithm_tag("slim", k), k) for k in k_values]
+    else:
+        raise ValueError(f"unknown algorithm {algorithm!r}")
     steps = []
-    b = lib.max_or_branching
     try:
-        for name in obs:
-            sym = lib.sym(name)
-            before = engine.counter.n
-            t0 = time.perf_counter_ns()
-            hset = engine.step(hset, sym)
-            elapsed = (time.perf_counter_ns() - t0) // 1000
-            steps.append(snapshot(hset.step, hset.hypotheses, "phatt", b,
-                                  engine.counter.n - before, elapsed))
-            if hook is not None:
-                hook(instance, "phatt", hset.step, hset.hypotheses)
+        hyps = drive(lib, obs, step, engine.counter, algorithm, steps,
+                     None if hook is None else partial(hook, instance, algorithm))
     except RecognitionFailure as failure:
-        return RunRecord(instance, "phatt", tuple(steps), status=f"fail@{failure.step}")
-    if emit_path is not None:
-        emit_hypotheses(hset.hypotheses, emit_path)
-    return RunRecord(instance, "phatt", tuple(steps),
-                     final_hypotheses=len(hset.hypotheses),
-                     goal_rooted=len(hset.hypotheses))
-
-
-def _run_slim(lib: PlanLibrary, obs: list[str], k_values: list[int | None],
-              max_depth: int | None, prune: bool, instance: str,
-              hook: StepHook | None = None,
-              emit_path: str | Path | None = None) -> list[RunRecord]:
-    """One bottom-up pass, reused by every requested top-down k."""
-    engine = SlimEngine(lib, TopDownConfig.for_library(lib, k=0, max_depth=max_depth),
-                        prune)
-    hyps = (EMPTY_HYPOTHESIS,)
-    steps = []
-    b = lib.max_or_branching
-    try:
-        for ts, name in enumerate(obs, start=1):
-            sym = lib.sym(name)
-            before = engine.counter.n
-            t0 = time.perf_counter_ns()
-            hyps = engine.step(hyps, sym, ts)
-            elapsed = (time.perf_counter_ns() - t0) // 1000
-            steps.append(snapshot(ts, hyps, "slim", b,
-                                  engine.counter.n - before, elapsed))
-            if hook is not None:
-                hook(instance, "slim", ts, hyps)
-    except RecognitionFailure as failure:
-        return [RunRecord(instance, algorithm_tag("slim", k), tuple(steps),
-                          status=f"fail@{failure.step}") for k in k_values]
+        return [RunRecord(instance, tag, tuple(steps), status=f"fail@{failure.step}")
+                for tag, _ in variants], failure
     out = []
-    for k in k_values:
-        goal_rooted: list[Hypothesis] = []
-        topdown_us = 0
+    for tag, k in variants:
+        goal_rooted, topdown_us = (hyps if algorithm == "phatt" else []), 0
         if k is None or k > 0:
-            variant = SlimEngine(
-                lib, TopDownConfig.for_library(lib, k=k, max_depth=max_depth), prune
-            )
-            variant._phatt = engine._phatt  # share leftmost-tree caches
-            goal_rooted, topdown_us = variant.compile_top_down(hyps)
-        out.append(RunRecord(instance, algorithm_tag("slim", k), tuple(steps),
-                             final_hypotheses=len(hyps),
+            goal_rooted, topdown_us = engine.compile_top_down(k_best(hyps, k))
+        out.append(RunRecord(instance, tag, tuple(steps), final_hypotheses=len(hyps),
                              goal_rooted=len(goal_rooted), topdown_us=topdown_us))
         if emit_path is not None:
             emit_hypotheses(goal_rooted if goal_rooted else hyps, emit_path)
-    return out
+    return out, None
 
 
 def emit_hypotheses(hyps: Iterable[Hypothesis], path: str | Path):
@@ -187,9 +154,10 @@ def run_benchmark(library_path: str | Path, obs_dir: str | Path,
                   step_hook: StepHook | None = None) -> dict:
     """Run every (instance, algorithm variant) pair and summarize.
 
-    SLIM variants share one bottom-up pass per instance; each k adds its own
-    top-down timing, reported per instance as ``topdown_us``. Per-instance
-    failures are recorded in the CSV status column, not raised.
+    One SLIM engine per instance makes the bottom-up pass and serves every k;
+    each k adds its own top-down timing, reported per instance as
+    ``topdown_us``. Per-instance failures are recorded in the CSV status
+    column, not raised.
     """
     lib = load_library(library_path)
     obs_files = sorted(Path(obs_dir).glob("*.txt"))
@@ -200,13 +168,8 @@ def run_benchmark(library_path: str | Path, obs_dir: str | Path,
         instance = obs_file.stem
         obs = read_observations(obs_file)
         for algorithm in algorithms:
-            if algorithm == "phatt":
-                records.append(_run_phatt(lib, obs, max_depth, instance, step_hook))
-            elif algorithm == "slim":
-                records.extend(_run_slim(lib, obs, k_values, max_depth, prune,
-                                         instance, step_hook))
-            else:
-                raise ValueError(f"unknown algorithm {algorithm!r}")
+            records.extend(_run(lib, obs, algorithm, k_values, max_depth, prune,
+                                instance, step_hook)[0])
     if csv_path is not None:
         write_metrics_csv(records, csv_path)
     return summarize(records)

@@ -13,17 +13,12 @@ leftmost trees.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Mapping
 
-from .grammar import PROB_TOL, LibraryError, PlanLibrary, Rule
-from .metrics import CombinationCounter, StepMetrics, snapshot
-from .phatt import (
-    PhattConfig,
-    PhattEngine,
-    RecognitionFailure,
-    default_max_depth,
-)
+from .grammar import LibraryError, PlanLibrary, Rule
+from .metrics import CombinationCounter, drive
+from .phatt import PhattConfig, PhattEngine, RecognitionFailure, _merge
 from .trees import (
     EMPTY_HYPOTHESIS,
     Hypothesis,
@@ -51,47 +46,23 @@ class Fragment:
 
 
 @dataclass(frozen=True)
-class TopDownConfig:
-    """SLIM configuration: ``k`` bounds how many of the most probable local
-    hypotheses the top-down compiler processes (0 = bottom-up only, None =
-    all of them); depth bound and goal priors match the PHATT side."""
+class TopDownConfig(PhattConfig):
+    """SLIM configuration: the PHATT bounds its top-down compiler runs with,
+    plus ``k``, how many of the most probable local hypotheses it compiles
+    (0 = bottom-up only, None = all of them)."""
 
-    k: int | None
-    max_depth: int
-    goal_prior: Mapping[int, float]
+    k: int | None = 0
 
     def __post_init__(self):
+        super().__post_init__()
         if self.k is not None and self.k < 0:
             raise ValueError("k must be >= 0 (or None for all)")
 
-    def as_phatt(self) -> PhattConfig:
-        return PhattConfig(self.max_depth, self.goal_prior)
-
-    @staticmethod
-    def for_library(lib: PlanLibrary, k: int | None = 0,
+    @classmethod
+    def for_library(cls, lib: PlanLibrary, k: int | None = 0,
                     max_depth: int | None = None,
                     goal_prior: Mapping[int, float] | None = None) -> "TopDownConfig":
-        if goal_prior is None:
-            goal_prior = {g: 1.0 / len(lib.goals) for g in lib.goals}
-        return TopDownConfig(k, max_depth or default_max_depth(lib), goal_prior)
-
-
-class DedupStore:
-    """Exact-membership set of canonical forms already produced."""
-
-    __slots__ = ("_seen",)
-
-    def __init__(self):
-        self._seen: set[str] = set()
-
-    def __contains__(self, canon: str) -> bool:
-        return canon in self._seen
-
-    def __len__(self) -> int:
-        return len(self._seen)
-
-    def add(self, canon: str):
-        self._seen.add(canon)
+        return replace(super().for_library(lib, max_depth, goal_prior), k=k)
 
 
 def create_fragments(lib: PlanLibrary, sym: int, ts: int, prune: bool = True) -> tuple[Fragment, ...]:
@@ -213,41 +184,6 @@ def combine_independently(lib: PlanLibrary, h: Hypothesis, f: Fragment,
     return h.with_plan(f.root)
 
 
-def slim_bottom_up_step(lib: PlanLibrary, hyps: Iterable[Hypothesis], obs: int, ts: int,
-                        prune: bool = True,
-                        counter: CombinationCounter | None = None,
-                        frontier_cache: dict | None = None) -> tuple[Hypothesis, ...]:
-    """Combine observation ``obs`` (step ``ts``) with every local hypothesis
-    through all four functions; results are deduplicated by canonical form."""
-    if not lib.is_terminal(obs):
-        raise LibraryError(f"observation {lib.name(obs)!r} is not a terminal")
-    out: dict[str, Hypothesis] = {}
-    fragments = create_fragments(lib, obs, ts, prune)
-    for h in hyps:
-        for cand in combine_directly(lib, h, obs, ts, counter, frontier_cache):
-            _merge(out, cand)
-        for f in fragments:
-            for cand in combine_as_child(lib, h, f, counter, frontier_cache):
-                _merge(out, cand)
-            for cand in combine_as_sibling(lib, h, f, ts, prune, counter):
-                _merge(out, cand)
-            _merge(out, combine_independently(lib, h, f, counter))
-    if not out:
-        raise RecognitionFailure(ts, lib.name(obs))
-    return tuple(sorted(out.values(), key=lambda h: h.canon))
-
-
-def _merge(out: dict[str, Hypothesis], cand: Hypothesis):
-    prev = out.get(cand.canon)
-    if prev is None:
-        out[cand.canon] = cand
-    elif abs(prev.weight - cand.weight) > PROB_TOL * max(1.0, abs(prev.weight)):
-        raise AssertionError(
-            f"duplicate hypothesis {cand.canon!r} with diverging weights "
-            f"{prev.weight!r} vs {cand.weight!r}"
-        )
-
-
 def _frontier(plan: PlanNode, cache: dict | None):
     if cache is None:
         return enabled_frontier(plan)
@@ -267,34 +203,6 @@ def k_best(hyps: Iterable[Hypothesis], k: int | None) -> list[Hypothesis]:
 # ---------------------------------------------------------------------------
 # Top-down compilation
 # ---------------------------------------------------------------------------
-
-
-def top_down(lib: PlanLibrary, local: Hypothesis, cfg: TopDownConfig,
-             dedup: DedupStore | None = None,
-             counter: CombinationCounter | None = None,
-             engine: PhattEngine | None = None) -> list[Hypothesis]:
-    """Compile one local hypothesis into goal-rooted hypotheses.
-
-    The local plans are fed, in creation-timestamp order, to a PHATT step
-    whose leftmost trees derive each plan's root symbol; the plan is grafted
-    at the designated leaf. Hypotheses whose canonical form is already in
-    ``dedup`` were produced before and are dropped from the output.
-    """
-    eng = engine or PhattEngine(lib, cfg.as_phatt(), counter)
-    states: dict[str, Hypothesis] = {EMPTY_HYPOTHESIS.canon: EMPTY_HYPOTHESIS}
-    for target in local.plans:  # sorted by (min_ts, canon) == creation order
-        states = _advance_states(eng, states, target)
-        if not states:
-            return []
-    results = list(states.values())
-    if dedup is not None:
-        fresh = []
-        for h in results:
-            if h.canon not in dedup:
-                dedup.add(h.canon)
-                fresh.append(h)
-        results = fresh
-    return sorted(results, key=lambda h: (-h.weight, h.canon))
 
 
 def _advance_states(eng: PhattEngine, states: dict[str, Hypothesis],
@@ -334,29 +242,29 @@ class SlimEngine:
         self.prune = prune
         self.counter = counter or CombinationCounter()
         self._frontier_cache: dict = {}
-        self._phatt = PhattEngine(lib, self.cfg.as_phatt(), self.counter)
-
-    @property
-    def algorithm(self) -> str:
-        return "slim-all" if self.cfg.k is None else f"slim-{self.cfg.k}"
+        self._phatt = PhattEngine(lib, self.cfg, self.counter)
 
     def step(self, hyps: tuple[Hypothesis, ...], obs: int, ts: int) -> tuple[Hypothesis, ...]:
-        return slim_bottom_up_step(self.lib, hyps, obs, ts, self.prune,
-                                   self.counter, self._frontier_cache)
-
-    def run_bottom_up(self, obs_names: list[str]) -> tuple[tuple[Hypothesis, ...], list[StepMetrics]]:
-        hyps: tuple[Hypothesis, ...] = (EMPTY_HYPOTHESIS,)
-        steps: list[StepMetrics] = []
-        b = self.lib.max_or_branching
-        for ts, name in enumerate(obs_names, start=1):
-            obs = self.lib.sym(name)
-            before = self.counter.n
-            t0 = time.perf_counter_ns()
-            hyps = self.step(hyps, obs, ts)
-            elapsed = (time.perf_counter_ns() - t0) // 1000
-            steps.append(snapshot(ts, hyps, "slim", b,
-                                  self.counter.n - before, elapsed))
-        return hyps, steps
+        """Combine observation ``obs`` (step ``ts``) with every local hypothesis
+        through all four functions, deduplicating by canonical form."""
+        lib = self.lib
+        if not lib.is_terminal(obs):
+            raise LibraryError(f"observation {lib.name(obs)!r} is not a terminal")
+        prune, counter, cache = self.prune, self.counter, self._frontier_cache
+        out: dict[str, Hypothesis] = {}
+        fragments = create_fragments(lib, obs, ts, prune)
+        for h in hyps:
+            for cand in combine_directly(lib, h, obs, ts, counter, cache):
+                _merge(out, cand)
+            for f in fragments:
+                for cand in combine_as_child(lib, h, f, counter, cache):
+                    _merge(out, cand)
+                for cand in combine_as_sibling(lib, h, f, ts, prune, counter):
+                    _merge(out, cand)
+                _merge(out, combine_independently(lib, h, f, counter))
+        if not out:
+            raise RecognitionFailure(ts, lib.name(obs))
+        return tuple(sorted(out.values(), key=lambda h: h.canon))
 
     def compile_top_down(self, hyps: Iterable[Hypothesis]) -> tuple[list[Hypothesis], int]:
         """Top-down compile the k best local hypotheses; returns the merged
@@ -364,8 +272,8 @@ class SlimEngine:
 
         Locals are compiled in ranking order but share state computation
         over common plan-sequence prefixes (the ranking is canonical, so the
-        selected locals cluster on shared prefixes); the outputs equal
-        per-local :func:`top_down` runs with one shared dedup store.
+        selected locals cluster on shared prefixes); the output equals
+        compiling each local alone and keeping one copy of each hypothesis.
         """
         t0 = time.perf_counter_ns()
         selected = k_best(hyps, self.cfg.k)
@@ -393,7 +301,7 @@ class SlimEngine:
 
         compile_group(list(range(len(selected))), 0, initial)
 
-        dedup = DedupStore()
+        dedup: set[str] = set()
         merged: list[Hypothesis] = []
         for outputs in per_local:
             for h in sorted(outputs, key=lambda h: (-h.weight, h.canon)):
@@ -413,10 +321,9 @@ def slim_recognize(lib: PlanLibrary, obs_names: list[str],
     Returns ``(local_hypotheses, goal_rooted, per_step_metrics)``.
     """
     engine = SlimEngine(lib, cfg, prune, counter)
-    if not obs_names:
-        return (EMPTY_HYPOTHESIS,), [], []
-    locals_, steps = engine.run_bottom_up(obs_names)
+    steps = []
+    locals_ = drive(lib, obs_names, engine.step, engine.counter, "slim", steps)
     goal_rooted: list[Hypothesis] = []
-    if engine.cfg.k is None or engine.cfg.k > 0:
+    if obs_names and engine.cfg.k != 0:
         goal_rooted, _ = engine.compile_top_down(locals_)
     return locals_, goal_rooted, steps

@@ -211,17 +211,6 @@ def enabled_frontier(root: PlanNode) -> tuple[Path, ...]:
     return tuple(out)
 
 
-def open_frontier(root: PlanNode) -> tuple[Path, ...]:
-    """Paths of all open-frontier nodes, enabled or not."""
-    return tuple(path for node, path in _walk_paths(root) if node.is_open)
-
-
-def _walk_paths(node: PlanNode, path: Path = ()) -> Iterator[tuple[PlanNode, Path]]:
-    yield node, path
-    for i, child in enumerate(node.children):
-        yield from _walk_paths(child, path + (i,))
-
-
 def try_fuse(lib: PlanLibrary, root: PlanNode, path: Path, sub: PlanNode) -> PlanNode | None:
     """Replace the open node at ``path`` with ``sub``; None on any rejection.
 
@@ -330,11 +319,6 @@ class Hypothesis:
 
 
 EMPTY_HYPOTHESIS = Hypothesis((), 1.0, "", 0)
-
-
-def canonical_form(h: Hypothesis) -> str:
-    """Deterministic string key: equal hypotheses iff equal strings."""
-    return h.canon
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from planrec.domains import DomainParams, generate_domain, library_stats, simula
 from planrec.grammar import parse_library, serialize_library
 from planrec.phatt import PhattConfig, RecognitionFailure, phatt_recognize
 from planrec.runner import CSV_COLUMNS, run_benchmark
-from planrec.slim import TopDownConfig, slim_bottom_up_step, slim_recognize
+from planrec.slim import SlimEngine, TopDownConfig, slim_recognize
 from planrec.trees import EMPTY_HYPOTHESIS, verify_hypothesis
 
 from conftest import SUITE
@@ -127,9 +127,10 @@ def bench_b(tmp_path_factory):
 def test_criterion_1_bottom_up_worked_example(lib):
     t0 = time.perf_counter()
     counts = []
+    engine = SlimEngine(lib)
     hyps = (EMPTY_HYPOTHESIS,)
     for ts, name in enumerate(["a", "c", "b"], start=1):
-        hyps = slim_bottom_up_step(lib, hyps, lib.sym(name), ts)
+        hyps = engine.step(hyps, lib.sym(name), ts)
         counts.append(len(hyps))
     complete = "X(A(a@1) B(b@3) C(c@2))"
     got = {h.canon for h in hyps}
@@ -275,10 +276,11 @@ def test_criterion_7_invariant_suite(lib, bench_a, bench_b):
     checked = bench_a["log"].checked + bench_b["log"].checked
     failures = list(bench_a["log"].failures) + list(bench_b["log"].failures)
 
+    engine = SlimEngine(lib)
     hyps = (EMPTY_HYPOTHESIS,)
     obs = [lib.sym(n) for n in ["a", "c", "b"]]
     for ts, sym in enumerate(obs, start=1):
-        hyps = slim_bottom_up_step(lib, hyps, sym, ts)
+        hyps = engine.step(hyps, sym, ts)
         for h in hyps:
             checked += 1
             failures.extend(verify_hypothesis(lib, h, ts, obs_syms=obs[:ts]))

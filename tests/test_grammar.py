@@ -4,8 +4,6 @@ from planrec.grammar import (
     LibraryError,
     LibraryParseError,
     parse_library,
-    reachable_from_goals,
-    rules_containing,
     serialize_library,
     validate_library,
 )
@@ -124,16 +122,16 @@ def test_validate_reports_underivable_goal():
 
 
 def test_rules_containing_examples(lib):
-    occ_a = rules_containing(lib, lib.sym("a"))
+    occ_a = lib.containing(lib.sym("a"))
     assert [(lib.name(r.lhs), pos) for r, pos in occ_a] == [("A", 0)]
-    occ_A = rules_containing(lib, lib.sym("A"))
+    occ_A = lib.containing(lib.sym("A"))
     assert [(lib.name(r.lhs), pos) for r, pos in occ_A] == [("X", 0)]
-    assert rules_containing(lib, lib.sym("X")) == ()
+    assert lib.containing(lib.sym("X")) == ()
 
 
 def test_rules_containing_unknown_symbol(lib):
     with pytest.raises(LibraryError):
-        rules_containing(lib, 99)
+        lib.containing(99)
 
 
 def test_rules_containing_matches_brute_force(lib):
@@ -144,11 +142,11 @@ def test_rules_containing_matches_brute_force(lib):
             for pos, s in enumerate(rule.rhs)
             if s == sym
         ]
-        assert list(rules_containing(lib, sym)) == expected
+        assert list(lib.containing(sym)) == expected
 
 
 def test_reachable_running_example(lib):
-    assert {lib.name(s) for s in reachable_from_goals(lib)} == {
+    assert {lib.name(s) for s in lib.reachable} == {
         "X", "A", "B", "C", "a", "b", "c"
     }
 
@@ -159,13 +157,13 @@ def test_reachable_excludes_isolated_nonterminal():
         "rule: X -> a | | 1.0\nrule: Z -> z | | 1.0"
     )
     lib = parse_library(text)
-    names = {lib.name(s) for s in reachable_from_goals(lib)}
+    names = {lib.name(s) for s in lib.reachable}
     assert "Z" not in names and "z" not in names
 
 
 def test_reachable_goal_only_library():
     lib = parse_library("terminals:\nnonterminals: X\ngoals: X\n")
-    assert {lib.name(s) for s in reachable_from_goals(lib)} == {"X"}
+    assert {lib.name(s) for s in lib.reachable} == {"X"}
 
 
 def test_round_trip_serialization(lib):

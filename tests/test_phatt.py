@@ -11,7 +11,6 @@ from planrec.phatt import (
     hypothesis_probability,
     leftmost_trees,
     phatt_recognize,
-    phatt_step,
 )
 from planrec.trees import Hypothesis, parse_hypothesis, parse_plan, verify_hypothesis
 
@@ -19,10 +18,10 @@ from oracles import all_agent_prefixes, enumerate_goal_hypotheses
 
 
 def run(lib, names, **kw):
-    cfg = PhattConfig.for_library(lib, **kw)
+    engine = PhattEngine(lib, PhattConfig.for_library(lib, **kw))
     hset = HypothesisSet.initial()
     for name in names:
-        hset = phatt_step(lib, hset, lib.sym(name), cfg)
+        hset = engine.step(hset, lib.sym(name))
     return hset
 
 
@@ -111,9 +110,10 @@ def test_step_rejects_nonterminal_observation(lib):
 
 def test_each_step_extends_by_one_timestamp(lib):
     cfg = PhattConfig.for_library(lib)
+    engine = PhattEngine(lib, cfg)
     hset = HypothesisSet.initial()
     for n, name in enumerate(["a", "c", "b"], start=1):
-        hset = phatt_step(lib, hset, lib.sym(name), cfg)
+        hset = engine.step(hset, lib.sym(name))
         assert hset.step == n
         for h in hset.hypotheses:
             assert h.n == n
@@ -128,7 +128,7 @@ def test_resumption_from_serialized_intermediate(lib):
     rebuilt = tuple(
         parse_hypothesis(lib, h.canon, priors=cfg.goal_prior) for h in mid.hypotheses
     )
-    resumed = phatt_step(lib, HypothesisSet(2, rebuilt), lib.sym("b"), cfg)
+    resumed = PhattEngine(lib, cfg).step(HypothesisSet(2, rebuilt), lib.sym("b"))
     assert canons(resumed) == canons(straight)
     assert [h.weight for h in resumed.hypotheses] == [
         h.weight for h in straight.hypotheses
@@ -183,6 +183,14 @@ def test_goal_prior_validation(lib):
         PhattConfig(4, {lib.sym("X"): 0.5})
     with pytest.raises(ValueError):
         PhattConfig(0, {lib.sym("X"): 1.0})
+
+
+def test_for_library_rejects_zero_depth(lib):
+    with pytest.raises(ValueError):
+        PhattConfig.for_library(lib, 0)
+    with pytest.raises(ValueError):
+        PhattConfig.for_library(lib, -1)
+    assert PhattConfig.for_library(lib).max_depth == default_max_depth(lib)
 
 
 # ---------------------------------------------------------------------------

@@ -85,6 +85,31 @@ def test_run_recognition_failure(workspace, tmp_path):
         run_recognition(lib_path, bad, "phatt")
 
 
+def test_run_recognition_failure_names_the_observation(workspace, tmp_path):
+    tmp, lib_path, obs_dir = workspace
+    bad = tmp_path / "bad.txt"
+    bad.write_text("b a c\n")
+    with pytest.raises(RecognitionFailure) as err:
+        run_recognition(lib_path, bad, "phatt")
+    assert err.value.obs == "b" and err.value.step == 1
+    assert str(err.value) == "observation 'b' at step 1 cannot be explained"
+
+
+def test_run_recognition_failure_csv_keeps_earlier_steps(workspace, tmp_path):
+    tmp, lib_path, obs_dir = workspace
+    bad = tmp_path / "late.txt"
+    bad.write_text("c b\n")  # b would need A complete first
+    csv_path = tmp / "fail.csv"
+    with pytest.raises(RecognitionFailure) as err:
+        run_recognition(lib_path, bad, "phatt", csv_path=csv_path)
+    assert err.value.step == 2
+    lines = csv_path.read_text().splitlines()
+    assert lines[0] == ",".join(CSV_COLUMNS)
+    assert len(lines) == 2  # header + the one step before the failure
+    assert lines[1].startswith("late,phatt,1,1,")
+    assert lines[1].endswith(",fail@2")
+
+
 def test_emit_hypotheses_format(workspace, lib):
     tmp, lib_path, obs_dir = workspace
     locals_, _, _ = slim_recognize(lib, ["a", "c", "b"], TopDownConfig.for_library(lib, k=0))
@@ -249,6 +274,34 @@ def test_cli_generate_and_simulate_and_bench(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "algorithm phatt" in out and "algorithm slim-all" in out
     assert csv_path.exists()
+
+
+@pytest.mark.parametrize("flags", [
+    ["--k", "abc"], ["--k", "-1"], ["--max-depth", "-1"], ["--max-depth", "0"],
+])
+def test_cli_recognize_rejects_bad_values_without_traceback(workspace, capsys, flags):
+    tmp, lib_path, obs_dir = workspace
+    with pytest.raises(SystemExit) as exit_info:
+        main(["recognize", "--library", str(lib_path),
+              "--observations", str(obs_dir / "obs_000.txt"),
+              "--algorithm", "slim", *flags])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flags[0]}: invalid" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flags", [
+    ["--k-list", "0,abc"], ["--k-list", "100,-1"], ["--max-depth", "-1"],
+])
+def test_cli_bench_rejects_bad_values_without_traceback(workspace, capsys, flags):
+    tmp, lib_path, obs_dir = workspace
+    with pytest.raises(SystemExit) as exit_info:
+        main(["bench", "--library", str(lib_path), "--obs-dir", str(obs_dir), *flags])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flags[0]}: invalid" in err
+    assert "Traceback" not in err
 
 
 def test_cli_generate_determinism(tmp_path):

@@ -4,7 +4,6 @@ from hypothesis import given, settings, strategies as st
 from planrec.grammar import parse_library
 from planrec.phatt import PhattConfig, PhattEngine, RecognitionFailure, phatt_recognize
 from planrec.slim import (
-    DedupStore,
     SlimEngine,
     TopDownConfig,
     combine_as_child,
@@ -13,9 +12,7 @@ from planrec.slim import (
     combine_independently,
     create_fragments,
     k_best,
-    slim_bottom_up_step,
     slim_recognize,
-    top_down,
 )
 from planrec.trees import EMPTY_HYPOTHESIS, Hypothesis, parse_hypothesis, parse_plan, verify_hypothesis
 
@@ -23,9 +20,10 @@ from oracles import all_agent_prefixes, slim_oracle_run
 
 
 def bottom_up(lib, names, prune=True):
+    engine = SlimEngine(lib, prune=prune)
     hyps = (EMPTY_HYPOTHESIS,)
     for ts, name in enumerate(names, start=1):
-        hyps = slim_bottom_up_step(lib, hyps, lib.sym(name), ts, prune)
+        hyps = engine.step(hyps, lib.sym(name), ts)
     return hyps
 
 
@@ -261,9 +259,29 @@ def cfg_all(lib):
     return TopDownConfig.for_library(lib, k=None)
 
 
+def test_top_down_config_validates_like_phatt(lib):
+    x = lib.sym("X")
+    cfg = TopDownConfig.for_library(lib, k=7)
+    assert isinstance(cfg, PhattConfig)
+    assert (cfg.k, cfg.max_depth, cfg.goal_prior) == (7, 4, {x: 1.0})
+    with pytest.raises(ValueError):
+        TopDownConfig(4, {x: 0.5}, None)  # priors must sum to 1
+    with pytest.raises(ValueError):
+        TopDownConfig(0, {x: 1.0}, None)
+    with pytest.raises(ValueError):
+        TopDownConfig.for_library(lib, k=None, max_depth=0)
+    with pytest.raises(ValueError):
+        TopDownConfig.for_library(lib, k=-1)
+
+
+def top_down(lib, local):
+    """Goal-rooted hypotheses compiled from one local hypothesis alone."""
+    return SlimEngine(lib, cfg_all(lib)).compile_top_down([local])[0]
+
+
 def test_top_down_worked_example(lib):
     local = parse_hypothesis(lib, "A(a@1);C(c@2)")
-    out = top_down(lib, local, cfg_all(lib))
+    out = top_down(lib, local)
     assert "X(A(a@1) B? C(c@2))" in canons(out)
     assert canons(out) == {
         "X(A(a@1) B? C(c@2))",
@@ -273,7 +291,7 @@ def test_top_down_worked_example(lib):
 
 def test_top_down_identity_on_goal_rooted_complete(lib):
     local = parse_hypothesis(lib, "X(A(a@1) B(b@3) C(c@2))")
-    out = top_down(lib, local, cfg_all(lib))
+    out = top_down(lib, local)
     assert canons(out) == {local.canon}
     # weights gain the goal prior exactly once
     assert out[0].weight == pytest.approx(1.0)
@@ -283,7 +301,7 @@ def test_top_down_union_equals_phatt(lib):
     locals_ = bottom_up(lib, ["a", "c"])
     union = set()
     for local in locals_:
-        union |= canons(top_down(lib, local, cfg_all(lib)))
+        union |= canons(top_down(lib, local))
     hset, _ = phatt_recognize(lib, ["a", "c"])
     assert union == {h.canon for h in hset.hypotheses}
 
@@ -295,20 +313,19 @@ def test_top_down_dead_local():
     )
     # N is reachable from no goal position that allows t first
     local = Hypothesis.build((parse_plan(lib, "N(t@1)"),))
-    assert top_down(lib, local, cfg_all(lib), dedup=DedupStore()) == []
+    assert top_down(lib, local) == []
 
 
-def test_top_down_dedup_store_drops_duplicates(lib):
+def test_top_down_dedup_drops_duplicates(lib):
     locals_ = sorted(bottom_up(lib, ["a", "c", "b"]), key=lambda h: h.canon)
-    store = DedupStore()
-    seen_with, seen_without = [], []
+    merged, _ = SlimEngine(lib, cfg_all(lib)).compile_top_down(locals_)
+    seen_with = [h.canon for h in merged]
+    seen_without = []
     for local in locals_:
-        seen_with.extend(canons(top_down(lib, local, cfg_all(lib), dedup=store)))
-        seen_without.extend(canons(top_down(lib, local, cfg_all(lib))))
+        seen_without.extend(canons(top_down(lib, local)))
     assert len(seen_with) == len(set(seen_with))  # no duplicates emitted
     assert set(seen_with) == set(seen_without)  # nothing but duplicates removed
     assert len(seen_without) >= len(seen_with)
-    assert len(store) == len(set(seen_with))
 
 
 def test_slim_recognize_worked_example(lib):
@@ -333,13 +350,15 @@ def test_slim_recognize_empty_sequence(lib):
 
 
 def test_batched_compile_equals_sequential(lib):
-    engine = SlimEngine(lib, cfg_all(lib))
-    locals_, _ = engine.run_bottom_up(["a", "c", "b"])
-    batched, _ = engine.compile_top_down(locals_)
-    store = DedupStore()
+    locals_ = bottom_up(lib, ["a", "c", "b"])
+    batched, _ = SlimEngine(lib, cfg_all(lib)).compile_top_down(locals_)
+    seen = set()
     sequential = []
     for local in k_best(locals_, None):
-        sequential.extend(top_down(lib, local, cfg_all(lib), dedup=store))
+        for h in top_down(lib, local):
+            if h.canon not in seen:
+                seen.add(h.canon)
+                sequential.append(h)
     assert canons(batched) == canons(sequential)
     assert sorted(h.weight for h in batched) == sorted(h.weight for h in sequential)
 

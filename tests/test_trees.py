@@ -8,7 +8,6 @@ from planrec.trees import (
     OrderingViolation,
     PlanNode,
     SymbolMismatch,
-    canonical_form,
     check_temporal_consistency,
     enabled_frontier,
     expand,
@@ -144,7 +143,7 @@ def test_ordering_made_vacuous_by_empty_successor(lib):
 
 def test_canonical_form_examples(lib):
     h3 = Hypothesis.build((build(lib, "X(A(a@1) B(b@3) C(c@2))"),))
-    assert canonical_form(h3) == "X(A(a@1) B(b@3) C(c@2))"
+    assert h3.canon == "X(A(a@1) B(b@3) C(c@2))"
     # plan list order does not matter
     p1 = build(lib, "A(a@1)")
     p2 = build(lib, "C(c@2)")
