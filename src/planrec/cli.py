@@ -93,7 +93,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return _dispatch(args)
     except RecognitionFailure as failure:
-        print(f"recognition failed at observation {failure.step}", file=sys.stderr)
+        print(f"recognition failed at observation {failure.step} ({failure.obs!r})",
+              file=sys.stderr)
         return EXIT_RECOGNITION
     except LibraryError as err:
         print(f"library error: {err}", file=sys.stderr)

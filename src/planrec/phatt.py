@@ -192,7 +192,7 @@ class PhattEngine:
         n = hset.step + 1
         counter = self.counter
         prior = self.cfg.goal_prior
-        out: dict[str, Hypothesis] = {}
+        out: dict[tuple[PlanNode, ...], Hypothesis] = {}
         # stamping a fresh leftmost tree never fails, and the stamped trees
         # are identical for every hypothesis in this step
         leaf = realized_leaf(lib, obs, n)
@@ -228,11 +228,12 @@ class PhattEngine:
         return HypothesisSet(n, ordered)
 
 
-def _merge(out: dict[str, Hypothesis], cand: Hypothesis):
-    prev = out.get(cand.canon)
-    if prev is None:
-        out[cand.canon] = cand
-    elif abs(prev.weight - cand.weight) > PROB_TOL * max(1.0, abs(prev.weight)):
+def _merge(out: dict[tuple[PlanNode, ...], Hypothesis], cand: Hypothesis):
+    """Keep one hypothesis per plan tuple; equal plans must carry equal weights."""
+    prev = out.setdefault(cand.plans, cand)
+    if prev is cand:
+        return
+    if abs(prev.weight - cand.weight) > PROB_TOL * max(1.0, abs(prev.weight)):
         raise AssertionError(
             f"duplicate hypothesis {cand.canon!r} with diverging weights "
             f"{prev.weight!r} vs {cand.weight!r}"

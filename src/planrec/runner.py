@@ -16,7 +16,7 @@ from functools import partial
 from pathlib import Path
 from typing import Callable, Iterable
 
-from .grammar import PlanLibrary, parse_library
+from .grammar import LibraryError, PlanLibrary, parse_library
 from .metrics import RunRecord, drive
 from .phatt import HypothesisSet, PhattConfig, PhattEngine, RecognitionFailure
 from .slim import SlimEngine, TopDownConfig, k_best
@@ -69,8 +69,9 @@ def run_recognition(library_path: str | Path, obs_path: str | Path, algorithm: s
     """Run one engine over one observation file, recording per-step metrics.
 
     Raises the engine's :class:`RecognitionFailure` when some observation
-    cannot be explained (after writing the CSV rows of the steps before it
-    and of the failure).
+    cannot be explained, and :class:`LibraryError` when one is unknown or not
+    a terminal (after writing the CSV rows of the steps before it and of the
+    failure).
     """
     lib = load_library(library_path)
     obs = read_observations(obs_path)
@@ -87,9 +88,11 @@ def run_recognition(library_path: str | Path, obs_path: str | Path, algorithm: s
 def _run(lib: PlanLibrary, obs: list[str], algorithm: str, k_values: list[int | None],
          max_depth: int | None, prune: bool, instance: str,
          hook: StepHook | None = None, emit_path: str | Path | None = None
-         ) -> tuple[list[RunRecord], RecognitionFailure | None]:
+         ) -> tuple[list[RunRecord], RecognitionFailure | LibraryError | None]:
     """One engine over one sequence: a record per variant (PHATT, or each SLIM
-    ``k`` compiled by the same engine), and the failure that stopped it, if any."""
+    ``k`` compiled by the same engine), and the failure that stopped it, if
+    any: status ``fail@<step>`` when no hypothesis explains an observation,
+    ``error@<step>`` when it is unknown or not a terminal."""
     if algorithm == "phatt":
         engine = PhattEngine(lib, PhattConfig.for_library(lib, max_depth))
 
@@ -111,6 +114,9 @@ def _run(lib: PlanLibrary, obs: list[str], algorithm: str, k_values: list[int | 
     except RecognitionFailure as failure:
         return [RunRecord(instance, tag, tuple(steps), status=f"fail@{failure.step}")
                 for tag, _ in variants], failure
+    except LibraryError as error:  # a bad observation; the library itself parsed
+        return [RunRecord(instance, tag, tuple(steps), status=f"error@{len(steps) + 1}")
+                for tag, _ in variants], error
     out = []
     for tag, k in variants:
         goal_rooted, topdown_us = (hyps if algorithm == "phatt" else []), 0
@@ -156,8 +162,9 @@ def run_benchmark(library_path: str | Path, obs_dir: str | Path,
 
     One SLIM engine per instance makes the bottom-up pass and serves every k;
     each k adds its own top-down timing, reported per instance as
-    ``topdown_us``. Per-instance failures are recorded in the CSV status
-    column, not raised.
+    ``topdown_us``. Per-instance failures, including observations that are
+    unknown or not terminals, are recorded in the CSV status column, not
+    raised.
     """
     lib = load_library(library_path)
     obs_files = sorted(Path(obs_dir).glob("*.txt"))

@@ -75,31 +75,47 @@ def create_fragments(lib: PlanLibrary, sym: int, ts: int, prune: bool = True) ->
     violated before fusion. With ``prune``, rules whose head cannot be
     reached from any goal are dropped.
     """
-    if lib.is_terminal(sym):
-        out = []
-        for rule, pos in lib.containing(sym):
-            if rule.preds[pos]:
-                continue
-            if prune and rule.lhs not in lib.reachable:
-                continue
-            children = tuple(
-                realized_leaf(lib, s, ts) if i == pos else open_node(lib, s)
-                for i, s in enumerate(rule.rhs)
-            )
-            out.append(Fragment(try_expand(lib, rule, children), rule, pos, ts))
-        return tuple(out)
-    key = ("gen", sym, prune)
-    skeleton = lib.tree_cache.get(key)
-    if skeleton is None:
-        skeleton = []
-        for rule, pos in lib.containing(sym):
-            if prune and rule.lhs not in lib.reachable:
-                continue
-            children = tuple(open_node(lib, s) for s in rule.rhs)
-            skeleton.append((try_expand(lib, rule, children), rule, pos))
-        skeleton = tuple(skeleton)
-        lib.tree_cache[key] = skeleton
-    return tuple(Fragment(root, rule, pos, ts) for root, rule, pos in skeleton)
+    terminal = lib.is_terminal(sym)
+    out = []
+    for rule, pos in _hosts(lib, sym, prune):
+        if terminal and rule.preds[pos]:
+            continue
+        children = tuple(
+            realized_leaf(lib, s, ts) if i == pos and terminal else open_node(lib, s)
+            for i, s in enumerate(rule.rhs)
+        )
+        out.append(Fragment(try_expand(lib, rule, children), rule, pos, ts))
+    return tuple(out)
+
+
+def _hosts(lib: PlanLibrary, sym: int, prune: bool) -> list[tuple[Rule, int]]:
+    """``(rule, position)`` occurrences of ``sym``; with ``prune``, only in
+    rules whose head some goal reaches."""
+    return [(rule, pos) for rule, pos in lib.containing(sym)
+            if not prune or rule.lhs in lib.reachable]
+
+
+def sibling_slots(lib: PlanLibrary, sym: int, prune: bool = True
+                  ) -> dict[int, tuple[tuple[Rule, int, int, tuple[PlanNode, ...]], ...]]:
+    """Parent slots for joining a plan with a fragment rooted at ``sym``.
+
+    Maps a plan's root symbol to ``(rule, i, j, opens)`` for every rule
+    occurrence ``j`` of ``sym`` (in :func:`create_fragments` order) and every
+    other position ``i`` of that rule carrying the plan's symbol, in position
+    order; ``opens`` holds the rule's open children. Built once per
+    ``(sym, prune)`` and cached on the library.
+    """
+    key = ("slots", sym, prune)
+    slots = lib.tree_cache.get(key)
+    if slots is None:
+        table: dict[int, list] = {}
+        for rule, j in _hosts(lib, sym, prune):
+            opens = tuple(open_node(lib, s) for s in rule.rhs)
+            for i, s in enumerate(rule.rhs):
+                if i != j:
+                    table.setdefault(s, []).append((rule, i, j, opens))
+        slots = lib.tree_cache[key] = {s: tuple(v) for s, v in table.items()}
+    return slots
 
 
 # ---------------------------------------------------------------------------
@@ -143,36 +159,30 @@ def combine_as_child(lib: PlanLibrary, h: Hypothesis, f: Fragment,
     return out
 
 
-def combine_as_sibling(lib: PlanLibrary, h: Hypothesis, f: Fragment, ts: int,
+def combine_as_sibling(lib: PlanLibrary, h: Hypothesis, f: Fragment,
                        prune: bool = True,
                        counter: CombinationCounter | None = None) -> list[Hypothesis]:
     """Join a plan of ``h`` and the fragment under a new common parent.
 
-    Generalized fragments for the fragment's root symbol supply the candidate
-    parent rules; the plan grafts at every other position carrying its root
-    symbol. Ordering constraints are enforced on the assembled parent, which
-    keeps the smallest-timestamp bookkeeping implicit (the new plan's minimum
-    realized timestamp is the minimum over both constituents).
+    The rules of the generalized fragments for the fragment's root symbol
+    (:func:`sibling_slots`) supply the candidate parents; the plan grafts at
+    every other position carrying its root symbol. Ordering constraints are
+    enforced on the assembled parent, which keeps the smallest-timestamp
+    bookkeeping implicit (the new plan's minimum realized timestamp is the
+    minimum over both constituents).
     """
     out = []
-    parents = create_fragments(lib, f.root.symbol, ts, prune)
+    slots = sibling_slots(lib, f.root.symbol, prune)
     for pi, p in enumerate(h.plans):
-        psym = p.symbol
-        for g in parents:
-            rhs = g.rule.rhs
-            j = g.attach_pos
-            for i in range(len(rhs)):
-                if i == j or rhs[i] != psym:
-                    continue
-                if counter is not None:
-                    counter.n += 1
-                children = tuple(
-                    p if c == i else (f.root if c == j else open_node(lib, s))
-                    for c, s in enumerate(rhs)
-                )
-                parent = try_expand(lib, g.rule, children)
-                if parent is not None:
-                    out.append(h.with_replaced(pi, parent))
+        for rule, i, j, opens in slots.get(p.symbol, ()):
+            if counter is not None:
+                counter.n += 1
+            children = list(opens)
+            children[i] = p
+            children[j] = f.root
+            parent = try_expand(lib, rule, tuple(children))
+            if parent is not None:
+                out.append(h.with_replaced(pi, parent))
     return out
 
 
@@ -205,23 +215,39 @@ def k_best(hyps: Iterable[Hypothesis], k: int | None) -> list[Hypothesis]:
 # ---------------------------------------------------------------------------
 
 
-def _advance_states(eng: PhattEngine, states: dict[str, Hypothesis],
-                    target: PlanNode) -> dict[str, Hypothesis]:
+States = dict[tuple[PlanNode, ...], Hypothesis]
+_UNSEEN = object()
+
+
+def _advance_states(eng: PhattEngine, states: States, target: PlanNode) -> States:
     """One modified-PHATT step: weave ``target`` into every partial
-    goal-rooted hypothesis, as a new plan or grafted at an enabled node."""
+    goal-rooted hypothesis, as a new plan or grafted at an enabled node.
+
+    The states share most of their plans, so the grafts of ``target`` (per
+    frontier symbol) and each fusion (per plan, path and graft) are computed
+    once per call; every attempt still counts."""
     lib = eng.lib
     prior = eng.cfg.goal_prior
     cnt = eng.counter
-    nxt: dict[str, Hypothesis] = {}
+    roots = eng.grafted(-1, target)
+    subs_by_sym: dict[int, tuple[PlanNode, ...]] = {}
+    fused_memo: dict[tuple, PlanNode | None] = {}
+    nxt: States = {}
     for s in states.values():
-        for plan in eng.grafted(-1, target):  # new goal-rooted plan
+        for plan in roots:  # new goal-rooted plan
             cnt.n += 1
             _merge(nxt, s.with_plan(plan, prior))
         for qi, q in enumerate(s.plans):  # graft into an existing plan
             for path, sym in eng.frontier(q):
-                for sub in eng.grafted(sym, target):
+                subs = subs_by_sym.get(sym)
+                if subs is None:
+                    subs = subs_by_sym[sym] = eng.grafted(sym, target)
+                for sub in subs:
                     cnt.n += 1
-                    fused = try_fuse(lib, q, path, sub)
+                    key = (q, path, sub)
+                    fused = fused_memo.get(key, _UNSEEN)
+                    if fused is _UNSEEN:
+                        fused = fused_memo[key] = try_fuse(lib, q, path, sub)
                     if fused is not None:
                         _merge(nxt, s.with_replaced(qi, fused, prior))
     return nxt
@@ -251,7 +277,7 @@ class SlimEngine:
         if not lib.is_terminal(obs):
             raise LibraryError(f"observation {lib.name(obs)!r} is not a terminal")
         prune, counter, cache = self.prune, self.counter, self._frontier_cache
-        out: dict[str, Hypothesis] = {}
+        out: dict[tuple[PlanNode, ...], Hypothesis] = {}
         fragments = create_fragments(lib, obs, ts, prune)
         for h in hyps:
             for cand in combine_directly(lib, h, obs, ts, counter, cache):
@@ -259,7 +285,7 @@ class SlimEngine:
             for f in fragments:
                 for cand in combine_as_child(lib, h, f, counter, cache):
                     _merge(out, cand)
-                for cand in combine_as_sibling(lib, h, f, ts, prune, counter):
+                for cand in combine_as_sibling(lib, h, f, prune, counter):
                     _merge(out, cand)
                 _merge(out, combine_independently(lib, h, f, counter))
         if not out:
@@ -278,35 +304,29 @@ class SlimEngine:
         t0 = time.perf_counter_ns()
         selected = k_best(hyps, self.cfg.k)
         per_local: list[list[Hypothesis]] = [[] for _ in selected]
-        initial = {EMPTY_HYPOTHESIS.canon: EMPTY_HYPOTHESIS}
+        initial = {EMPTY_HYPOTHESIS.plans: EMPTY_HYPOTHESIS}
 
-        def compile_group(indices: list[int], depth: int, states: dict):
-            groups: dict[str, list[int]] = {}
-            order: list[PlanNode] = []
+        def compile_group(indices: list[int], depth: int, states: States):
+            groups: dict[PlanNode, list[int]] = {}
             for i in indices:
                 plans = selected[i].plans
                 if len(plans) == depth:
                     per_local[i] = list(states.values())
                     continue
-                key = plans[depth].canon
-                if key not in groups:
-                    groups[key] = []
-                    order.append(plans[depth])
-                groups[key].append(i)
-            for target in order:
+                groups.setdefault(plans[depth], []).append(i)
+            for target, group in groups.items():
                 sub = _advance_states(self._phatt, states, target)
-                group = groups[target.canon]
                 if sub:
                     compile_group(group, depth + 1, sub)
 
         compile_group(list(range(len(selected))), 0, initial)
 
-        dedup: set[str] = set()
+        dedup: set[Hypothesis] = set()
         merged: list[Hypothesis] = []
         for outputs in per_local:
             for h in sorted(outputs, key=lambda h: (-h.weight, h.canon)):
-                if h.canon not in dedup:
-                    dedup.add(h.canon)
+                if h not in dedup:
+                    dedup.add(h)
                     merged.append(h)
         merged.sort(key=lambda h: (-h.weight, h.canon))
         elapsed = (time.perf_counter_ns() - t0) // 1000

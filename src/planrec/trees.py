@@ -7,7 +7,9 @@ recognizer needs on every validity check (completeness, timestamp range,
 rule-probability product, open-frontier count) are computed once per node at
 construction.
 
-Serialization grammar, also used as the canonical deduplication key::
+Serialization grammar, used for output and as the canonical ordering key
+(hypotheses deduplicate on their sorted plan tuples, which hash and compare
+through the nodes' serializations)::
 
     node := name '?' | name '@' int | name '(' node (' ' node)* ')'
 
@@ -274,20 +276,29 @@ class Hypothesis:
     """A set of plans jointly explaining each consumed observation once.
 
     Plans are kept sorted by (smallest realized timestamp, canonical form),
-    which makes the canonical form, the weight product order, and therefore
-    the weight itself deterministic for structurally equal hypotheses.
-    ``weight`` is the product of all rule probabilities over all plans, times
-    the supplied per-root priors (goal priors for goal-rooted hypotheses).
+    which makes the plan tuple, the weight product order, and therefore the
+    weight itself deterministic for structurally equal hypotheses. Equality
+    and hashing go through that tuple, the deduplication key; ``canon``, the
+    ``;``-joined plan serializations used for output and ordering, is built
+    on first read. ``weight`` is the product of all rule probabilities over
+    all plans, times the supplied per-root priors (goal priors for
+    goal-rooted hypotheses).
     """
 
-    __slots__ = ("plans", "weight", "canon", "n", "_hash")
+    __slots__ = ("plans", "weight", "_canon", "n")
 
-    def __init__(self, plans: tuple[PlanNode, ...], weight: float, canon: str, n: int):
+    def __init__(self, plans: tuple[PlanNode, ...], weight: float, canon: str | None, n: int):
         self.plans = plans
         self.weight = weight
-        self.canon = canon
+        self._canon = canon
         self.n = n
-        self._hash = hash(canon)
+
+    @property
+    def canon(self) -> str:
+        canon = self._canon
+        if canon is None:
+            canon = self._canon = ";".join(p.canon for p in self.plans)
+        return canon
 
     @staticmethod
     def build(plans: tuple[PlanNode, ...], priors=None) -> "Hypothesis":
@@ -299,7 +310,7 @@ class Hypothesis:
             if priors is not None:
                 weight *= priors.get(plan.symbol, 1.0)
             n += plan.realized_count
-        return Hypothesis(plans, weight, ";".join(p.canon for p in plans), n)
+        return Hypothesis(plans, weight, None, n)
 
     def with_plan(self, plan: PlanNode, priors=None) -> "Hypothesis":
         return Hypothesis.build(self.plans + (plan,), priors)
@@ -309,10 +320,10 @@ class Hypothesis:
         return Hypothesis.build(plans, priors)
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash(self.plans)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Hypothesis) and self.canon == other.canon
+        return isinstance(other, Hypothesis) and self.plans == other.plans
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Hypothesis({self.canon!r}, w={self.weight})"

@@ -1,6 +1,7 @@
 import pytest
 
 from planrec.cli import main
+from planrec.grammar import LibraryError
 from planrec.metrics import predicted_bound
 from planrec.phatt import RecognitionFailure
 from planrec.runner import (
@@ -188,6 +189,34 @@ def test_benchmark_records_failures_without_aborting(workspace):
     assert "fail@1" in csv_path.read_text()
 
 
+@pytest.mark.parametrize("bad_obs, status", [("a z\n", "error@2"), ("a X\n", "error@2")],
+                         ids=["unknown", "nonterminal"])
+def test_benchmark_records_bad_observations_without_aborting(tmp_path, bad_obs, status):
+    lib_path = tmp_path / "lib.txt"
+    lib_path.write_text(RUNNING_EXAMPLE)
+    obs_dir = tmp_path / "obs"
+    obs_dir.mkdir()
+    (obs_dir / "bad.txt").write_text(bad_obs)
+    (obs_dir / "good.txt").write_text("a c b\n")
+    csv_path = tmp_path / "bench.csv"
+    summary = run_benchmark(lib_path, obs_dir, ["phatt", "slim"], [0, None], csv_path=csv_path)
+    statuses = {(r.instance, r.algorithm): r.status for r in summary["records"]}
+    assert statuses == {
+        ("bad", "phatt"): status, ("bad", "slim-0"): status, ("bad", "slim-all"): status,
+        ("good", "phatt"): "ok", ("good", "slim-0"): "ok", ("good", "slim-all"): "ok",
+    }
+    rows = csv_path.read_text().splitlines()[1:]
+    assert {row.split(",")[0] for row in rows} == {"bad", "good"}
+    # the step before the bad token keeps its row
+    assert all(row.endswith(status) for row in rows if row.startswith("bad,"))
+    assert sum(row.startswith("bad,phatt,1,") for row in rows) == 1
+    # a single recognition still raises, so `planrec recognize` exits 3
+    with pytest.raises(LibraryError):
+        run_recognition(lib_path, obs_dir / "bad.txt", "slim")
+    assert main(["recognize", "--library", str(lib_path), "--observations",
+                 str(obs_dir / "bad.txt"), "--algorithm", "phatt"]) == 3
+
+
 def test_parse_k():
     assert parse_k("all") is None
     assert parse_k(None) is None
@@ -222,7 +251,8 @@ def test_cli_recognize_failure_exit_code(workspace, tmp_path, capsys):
         "--algorithm", "phatt",
     ])
     assert code == 2
-    assert "observation 1" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "observation 1" in err and "'b'" in err
 
 
 def test_cli_parse_error_exit_code(tmp_path, capsys):

@@ -1,7 +1,9 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from planrec.domains import generate_domain, simulate_agent
 from planrec.grammar import parse_library
+from planrec.metrics import CombinationCounter, drive
 from planrec.phatt import PhattConfig, PhattEngine, RecognitionFailure, phatt_recognize
 from planrec.slim import (
     SlimEngine,
@@ -12,11 +14,21 @@ from planrec.slim import (
     combine_independently,
     create_fragments,
     k_best,
+    sibling_slots,
     slim_recognize,
 )
-from planrec.trees import EMPTY_HYPOTHESIS, Hypothesis, parse_hypothesis, parse_plan, verify_hypothesis
+from planrec.trees import (
+    EMPTY_HYPOTHESIS,
+    Hypothesis,
+    open_node,
+    parse_hypothesis,
+    parse_plan,
+    try_expand,
+    verify_hypothesis,
+)
 
 from oracles import all_agent_prefixes, slim_oracle_run
+from test_acceptance import BENCH_A, BENCH_B
 
 
 def bottom_up(lib, names, prune=True):
@@ -131,7 +143,7 @@ def test_combine_as_child_symbol_mismatch(lib):
 def test_combine_as_sibling_fig_example(lib):
     h = parse_hypothesis(lib, "A(a@1)")
     (frag,) = create_fragments(lib, lib.sym("c"), 2)
-    out = combine_as_sibling(lib, h, frag, 2)
+    out = combine_as_sibling(lib, h, frag)
     assert canons(out) == {"X(A(a@1) B? C(c@2))"}
 
 
@@ -139,14 +151,85 @@ def test_combine_as_sibling_rejects_ordering_violation(lib):
     h = parse_hypothesis(lib, "C(c@1)")
     (frag,) = create_fragments(lib, lib.sym("b"), 2)
     # candidate X(A? B(b@2) C(c@1)) breaks (A before B)
-    assert combine_as_sibling(lib, h, frag, 2) == []
+    assert combine_as_sibling(lib, h, frag) == []
 
 
 def test_combine_as_sibling_valid_pair(lib):
     h = parse_hypothesis(lib, "A(a@1)")
     (frag,) = create_fragments(lib, lib.sym("b"), 2)
-    out = combine_as_sibling(lib, h, frag, 2)
+    out = combine_as_sibling(lib, h, frag)
     assert canons(out) == {"X(A(a@1) B(b@2) C?)"}
+
+
+def sibling_reference(lib, h, f, ts, prune, counter):
+    """The sibling loop over generalized fragments that the slot table replaces."""
+    out = []
+    for pi, p in enumerate(h.plans):
+        for g in create_fragments(lib, f.root.symbol, ts, prune):
+            rhs, j = g.rule.rhs, g.attach_pos
+            for i in range(len(rhs)):
+                if i == j or rhs[i] != p.symbol:
+                    continue
+                counter.n += 1
+                children = tuple(
+                    p if c == i else (f.root if c == j else open_node(lib, s))
+                    for c, s in enumerate(rhs)
+                )
+                parent = try_expand(lib, g.rule, children)
+                if parent is not None:
+                    out.append(h.with_replaced(pi, parent))
+    return out
+
+
+def assert_sibling_slots_match_reference(lib, sequences, prune):
+    checked = 0
+    for names in sequences:
+        hyps = (EMPTY_HYPOTHESIS,)
+        engine = SlimEngine(lib, prune=prune)
+        for ts, name in enumerate(names, start=1):
+            obs = lib.sym(name)
+            for f in create_fragments(lib, obs, ts, prune):
+                for h in hyps:
+                    got_n, want_n = CombinationCounter(), CombinationCounter()
+                    got = combine_as_sibling(lib, h, f, prune, got_n)
+                    want = sibling_reference(lib, h, f, ts, prune, want_n)
+                    assert [(c.canon, c.weight) for c in got] == \
+                        [(c.canon, c.weight) for c in want], (names, ts, h.canon)
+                    assert got_n.n == want_n.n
+                    checked += got_n.n
+            hyps = engine.step(hyps, obs, ts)
+    return checked
+
+
+def assert_slot_table_matches_fragments(lib, prune):
+    slots_seen = 0
+    for sym in lib.nonterminals:
+        fragments = create_fragments(lib, sym, 1, prune)
+        slots = sibling_slots(lib, sym, prune)
+        for psym in range(len(lib.symbols)):
+            want = [(g.rule, i, g.attach_pos) for g in fragments
+                    for i, s in enumerate(g.rule.rhs) if i != g.attach_pos and s == psym]
+            assert [slot[:3] for slot in slots.get(psym, ())] == want
+            slots_seen += len(want)
+    return slots_seen
+
+
+@pytest.mark.parametrize("prune", [True, False])
+def test_sibling_slots_reproduce_fragment_loop_suite(suite_lib, prune):
+    assert_slot_table_matches_fragments(suite_lib, prune)
+    assert_sibling_slots_match_reference(suite_lib, all_agent_prefixes(suite_lib, 4), prune)
+
+
+@pytest.mark.parametrize("prune", [True, False])
+@pytest.mark.parametrize("params, seeds", [(BENCH_A, (1000, 1001, 1002)),
+                                           (BENCH_B, (2001, 2021, 2055))],
+                         ids=["benchmark-a", "benchmark-b"])
+def test_sibling_slots_reproduce_fragment_loop_generated(params, seeds, prune):
+    lib = generate_domain(params)
+    assert assert_slot_table_matches_fragments(lib, prune) > 0
+    sequences = [simulate_agent(lib, seed)[:4] for seed in seeds]
+    attempts = assert_sibling_slots_match_reference(lib, sequences, prune)
+    assert attempts > 0 or params is BENCH_A  # A's prefixes make no sibling attempt
 
 
 def test_combine_independently_examples(lib):
@@ -214,11 +297,11 @@ def test_fragment_timestamp_law(lib):
     # after a sibling fusion the plan's min timestamp is the min of parts
     h = parse_hypothesis(lib, "A(a@1)")
     (frag,) = create_fragments(lib, lib.sym("c"), 2)
-    (out,) = combine_as_sibling(lib, h, frag, 2)
+    (out,) = combine_as_sibling(lib, h, frag)
     assert out.plans[0].min_ts == 1
     h_rev = parse_hypothesis(lib, "C(c@1)")
     (frag_a,) = create_fragments(lib, lib.sym("a"), 2)
-    (out_rev,) = combine_as_sibling(lib, h_rev, frag_a, 2)
+    (out_rev,) = combine_as_sibling(lib, h_rev, frag_a)
     assert out_rev.plans[0].min_ts == 1
 
 
@@ -257,6 +340,24 @@ def test_k_best_by_weight():
 
 def cfg_all(lib):
     return TopDownConfig.for_library(lib, k=None)
+
+
+@pytest.mark.parametrize("case, bottom_up_n, top_down_n", [
+    ("running-example", 8, 11),
+    ("benchmark-a-1000", 451, 2655),  # many states share plans: memo hits
+])
+def test_top_down_counts_every_attempt(lib, case, bottom_up_n, top_down_n):
+    # the values the uncached compiler counted, one per attempted graft
+    if case == "running-example":
+        names = ["a", "c", "b"]
+    else:
+        lib = generate_domain(BENCH_A)
+        names = simulate_agent(lib, 1000)
+    engine = SlimEngine(lib, cfg_all(lib))
+    local = drive(lib, names, engine.step, engine.counter, "slim", [])
+    assert engine.counter.n == bottom_up_n
+    engine.compile_top_down(local)
+    assert engine.counter.n == bottom_up_n + top_down_n
 
 
 def test_top_down_config_validates_like_phatt(lib):

@@ -153,6 +153,25 @@ def test_canonical_form_examples(lib):
     assert other.canon != h3.canon
 
 
+def test_dedup_key_is_the_plan_tuple(lib):
+    from planrec.phatt import _merge
+
+    first = Hypothesis.build((build(lib, "A(a@1)"), build(lib, "C(c@2)")))
+    second = Hypothesis.build((build(lib, "C(c@2)"), build(lib, "A(a@1)")))
+    assert all(p is not q for p, q in zip(first.plans, second.plans))
+    assert first == second and hash(first) == hash(second)
+    assert first.plans == second.plans and hash(first.plans) == hash(second.plans)
+    out = {}
+    _merge(out, first)
+    _merge(out, second)
+    assert list(out.values()) == [first] and out[second.plans] is first
+    assert first != Hypothesis.build((build(lib, "A(a@1)"),))
+    forged = Hypothesis(second.plans, first.weight / 2, None, second.n)
+    assert forged == first and forged.canon == first.canon == "A(a@1);C(c@2)"
+    with pytest.raises(AssertionError, match="diverging weights"):
+        _merge(out, forged)
+
+
 def test_hypothesis_sorting_by_min_ts(lib):
     early = build(lib, "C(c@1)")
     late = build(lib, "A(a@2)")
