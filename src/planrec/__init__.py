@@ -6,6 +6,7 @@ from .domains import DomainParams, DomainStats, generate_domain, library_stats, 
 from .grammar import (
     LibraryError,
     LibraryParseError,
+    ObservationError,
     PlanLibrary,
     Rule,
     Symbol,

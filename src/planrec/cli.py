@@ -1,7 +1,8 @@
 """Command-line front end: recognize, generate, simulate, bench.
 
-Exit codes: 0 success, 2 recognition failure, 3 library parse error,
-4 I/O error.
+Exit codes: 0 success, 2 recognition failure or a command-line usage error
+(argparse's own code), 3 library parse error, 4 I/O error, 5 an observation
+that is unknown or not a terminal.
 """
 
 from __future__ import annotations
@@ -11,10 +12,11 @@ import sys
 from pathlib import Path
 
 from .domains import DomainParams, generate_domain, library_stats, simulate_agent
-from .grammar import LibraryError, serialize_library
+from .grammar import LibraryError, ObservationError, serialize_library
 from .phatt import RecognitionFailure
 from .runner import (
     EXIT_IO,
+    EXIT_OBSERVATION,
     EXIT_OK,
     EXIT_PARSE,
     EXIT_RECOGNITION,
@@ -96,6 +98,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"recognition failed at observation {failure.step} ({failure.obs!r})",
               file=sys.stderr)
         return EXIT_RECOGNITION
+    except ObservationError as err:
+        print(f"observation error: {err}", file=sys.stderr)
+        return EXIT_OBSERVATION
     except LibraryError as err:
         print(f"library error: {err}", file=sys.stderr)
         return EXIT_PARSE

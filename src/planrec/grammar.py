@@ -6,8 +6,8 @@ and production rules ``lhs -> rhs`` annotated with ordering constraints over
 RHS positions and a rule probability. A constraint pair ``(i, j)`` means the
 i-th constituent must be fully executed before the j-th may begin.
 
-Libraries never change once built, apart from their ``tree_cache`` memo,
-and are safe to share across recognizers.
+Libraries never change once built and are safe to share across
+recognizers.
 """
 
 from __future__ import annotations
@@ -31,6 +31,21 @@ class LibraryParseError(LibraryError):
     def __init__(self, line: int, message: str):
         super().__init__(f"line {line}: {message}")
         self.line = line
+
+
+class ObservationError(LibraryError):
+    """An observation token that is unknown or not a terminal, at 1-based
+    ``step``; the runner sets ``source`` to the observation file's name."""
+
+    def __init__(self, step: int, token: str, problem: str):
+        super().__init__(f"observation {token!r} at step {step} {problem}")
+        self.step = step
+        self.token = token
+        self.source = ""
+
+    def __str__(self) -> str:
+        message = super().__str__()
+        return f"{self.source}: {message}" if self.source else message
 
 
 @dataclass(frozen=True)
@@ -102,10 +117,8 @@ class PlanLibrary:
     """A fully indexed plan library.
 
     Use :func:`parse_library` or :func:`build_library` instead of calling the
-    constructor directly; they perform all validation. The one mutable
-    member is ``tree_cache``, a memo of immutable nodes derived from the
-    library (each symbol's shared open node, each nonterminal's generalized
-    fragments); filling it never changes a result.
+    constructor directly; they perform all validation. A library never
+    changes once built: recognizers keep their memos on themselves.
     """
 
     def __init__(self, symbols: tuple[Symbol, ...], goals: tuple[int, ...], rules: tuple[Rule, ...]):
@@ -127,7 +140,6 @@ class PlanLibrary:
         )
         self.acyclic_depth = self._compute_depth()
         self.ambiguous_rhs = len({(r.lhs, r.rhs) for r in rules}) < len(rules)
-        self.tree_cache: dict = {}
 
     # -- lookups ---------------------------------------------------------
 

@@ -11,6 +11,7 @@ import math
 import time
 from dataclasses import dataclass
 
+from .grammar import ObservationError
 from .trees import EMPTY_HYPOTHESIS
 
 
@@ -90,12 +91,15 @@ def drive(lib, obs_names, step, counter: CombinationCounter, algorithm: str,
     """Feed ``obs_names`` one at a time through ``step(hyps, sym, ts) -> hyps``
     from the empty hypothesis, appending a :class:`StepMetrics` row (timing
     ``step`` alone) to ``steps`` and calling ``hook(ts, hyps)`` after each.
-    Returns the final hypotheses. A ``RecognitionFailure`` propagates and
-    leaves the earlier steps' rows in ``steps``."""
+    Returns the final hypotheses. A ``RecognitionFailure``, or an
+    :class:`ObservationError` for a token the library does not know,
+    propagates and leaves the earlier steps' rows in ``steps``."""
     hyps = (EMPTY_HYPOTHESIS,)
     b = lib.max_or_branching
     for ts, name in enumerate(obs_names, start=1):
-        sym = lib.sym(name)
+        sym = lib.by_name.get(name)
+        if sym is None:
+            raise ObservationError(ts, name, "is not in the library")
         before = counter.n
         t0 = time.perf_counter_ns()
         hyps = step(hyps, sym, ts)

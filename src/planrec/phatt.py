@@ -5,24 +5,27 @@ goal-rooted plan or by fusing a leftmost tree into an enabled open-frontier
 node of an existing plan. A leftmost tree derives the observation through a
 root-to-leaf path on which every position is free of unsatisfied ordering
 predecessors; the degenerate depth-0 tree (the target symbol itself) covers
-direct realization of open terminal leaves and direct grafting in the
-top-down compiler.
+direct realization of open terminal leaves and direct grafting.
+
+:meth:`PhattEngine.advance` is the one modified-PHATT step: it weaves a
+target node into every hypothesis. PHATT's own step passes the observation's
+realized leaf as the target; SLIM's top-down compiler replays the plans of a
+local hypothesis through the same method.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterable, Mapping
 
-from .grammar import PROB_TOL, LibraryError, PlanLibrary
+from .grammar import PROB_TOL, ObservationError, PlanLibrary
 from .metrics import CombinationCounter, drive
 from .trees import (
     EMPTY_HYPOTHESIS,
     Hypothesis,
     Path,
     PlanNode,
-    enabled_frontier,
-    node_at,
+    frontier_entries,
     open_node,
     realized_leaf,
     try_expand,
@@ -124,10 +127,10 @@ class HypothesisSet:
 
 
 class PhattEngine:
-    """Stateful wrapper caching leftmost trees and frontier computations.
+    """Stateful wrapper caching leftmost trees, grafts and frontiers.
 
-    The caches never affect results: :meth:`step` is a pure function of its
-    arguments, whatever the engine has seen before.
+    The caches never affect results: :meth:`advance` and :meth:`step` are
+    pure functions of their arguments, whatever the engine has seen before.
     """
 
     def __init__(self, lib: PlanLibrary, cfg: PhattConfig | None = None,
@@ -156,21 +159,18 @@ class PhattEngine:
         return trees
 
     def frontier(self, plan: PlanNode) -> tuple[tuple[Path, int], ...]:
-        """Enabled open nodes of a plan as (path, symbol) pairs, memoized."""
+        """:func:`~planrec.trees.frontier_entries` of a plan, memoized."""
         entries = self._frontier_memo.get(plan)
         if entries is None:
-            entries = tuple(
-                (path, node_at(plan, path).symbol) for path in enabled_frontier(plan)
-            )
-            self._frontier_memo[plan] = entries
+            entries = self._frontier_memo[plan] = frontier_entries(plan)
         return entries
 
     def grafted(self, root_sym: int, target: PlanNode) -> tuple[PlanNode, ...]:
         """``target`` grafted into every leftmost tree deriving its root
         symbol from ``root_sym`` (-1 selects the goal roots). Grafting into a
         fresh leftmost tree cannot fail: designated positions have no
-        ordering predecessors. Memoized; plans are shared objects, so the
-        same target recurs across many local hypotheses."""
+        ordering predecessors. Memoized; SLIM's top-down compile grafts the
+        same plan for many local hypotheses."""
         key = (root_sym, target)
         plans = self._graft_memo.get(key)
         if plans is None:
@@ -184,48 +184,55 @@ class PhattEngine:
             self._graft_memo[key] = plans
         return plans
 
+    def advance(self, hyps: Iterable[Hypothesis], target: PlanNode
+                ) -> dict[tuple[PlanNode, ...], Hypothesis]:
+        """One modified-PHATT step: weave ``target`` into every hypothesis,
+        as a new goal-rooted plan or grafted at an enabled open node of one
+        of its plans. Returns the results keyed by plan tuple.
+
+        The hypotheses share most of their plans, so the grafts of
+        ``target`` (per frontier symbol) and each fusion (per plan, path and
+        graft) are computed once per call; every attempt still counts."""
+        lib = self.lib
+        prior = self.cfg.goal_prior
+        counter = self.counter
+        roots = self.grafted(-1, target)
+        subs_by_sym: dict[int, tuple[PlanNode, ...]] = {}
+        fused_memo: dict[tuple, PlanNode | None] = {}
+        out: dict[tuple[PlanNode, ...], Hypothesis] = {}
+        for h in hyps:
+            for plan in roots:  # a new goal-rooted plan
+                counter.n += 1
+                _merge(out, h.with_plan(plan, prior))
+            for pi, p in enumerate(h.plans):  # graft into an existing plan
+                for path, sym in self.frontier(p):
+                    subs = subs_by_sym.get(sym)
+                    if subs is None:
+                        subs = subs_by_sym[sym] = self.grafted(sym, target)
+                    for sub in subs:
+                        counter.n += 1
+                        key = (p, path, sub)
+                        fused = fused_memo.get(key, _UNSEEN)
+                        if fused is _UNSEEN:
+                            fused = fused_memo[key] = try_fuse(lib, p, path, sub)
+                        if fused is not None:
+                            _merge(out, h.with_replaced(pi, fused, prior))
+        return out
+
     def step(self, hset: HypothesisSet, obs: int) -> HypothesisSet:
         """Extend every hypothesis with the next observation ``obs``."""
         lib = self.lib
-        if not lib.is_terminal(obs):
-            raise LibraryError(f"observation {lib.name(obs)!r} is not a terminal")
         n = hset.step + 1
-        counter = self.counter
-        prior = self.cfg.goal_prior
-        out: dict[tuple[PlanNode, ...], Hypothesis] = {}
-        # stamping a fresh leftmost tree never fails, and the stamped trees
-        # are identical for every hypothesis in this step
-        leaf = realized_leaf(lib, obs, n)
-        goal_plans = tuple(
-            try_fuse(lib, lt.root, lt.path, leaf) for lt in self.goal_trees(obs)
-        )
-        stamped_cache: dict[int, tuple[PlanNode, ...]] = {}
-
-        def stamped(sym: int) -> tuple[PlanNode, ...]:
-            subs = stamped_cache.get(sym)
-            if subs is None:
-                subs = tuple(
-                    try_fuse(lib, lt.root, lt.path, leaf)
-                    for lt in self.trees_from(sym, obs)
-                )
-                stamped_cache[sym] = subs
-            return subs
-
-        for h in hset.hypotheses:
-            for plan in goal_plans:  # mode 1: the observation starts a new plan
-                counter.n += 1
-                _merge(out, h.with_plan(plan, prior))
-            for pi, p in enumerate(h.plans):  # mode 2: extend an existing plan
-                for path, sym in self.frontier(p):
-                    for sub in stamped(sym):
-                        counter.n += 1
-                        fused = try_fuse(lib, p, path, sub)
-                        if fused is not None:
-                            _merge(out, h.with_replaced(pi, fused, prior))
+        if not lib.is_terminal(obs):
+            raise ObservationError(n, lib.name(obs), "is not a terminal")
+        out = self.advance(hset.hypotheses, realized_leaf(lib, obs, n))
         if not out:
             raise RecognitionFailure(n, lib.name(obs))
         ordered = tuple(sorted(out.values(), key=lambda h: h.canon))
         return HypothesisSet(n, ordered)
+
+
+_UNSEEN = object()
 
 
 def _merge(out: dict[tuple[PlanNode, ...], Hypothesis], cand: Hypothesis):

@@ -16,7 +16,7 @@ from functools import partial
 from pathlib import Path
 from typing import Callable, Iterable
 
-from .grammar import LibraryError, PlanLibrary, parse_library
+from .grammar import ObservationError, PlanLibrary, parse_library
 from .metrics import RunRecord, drive
 from .phatt import HypothesisSet, PhattConfig, PhattEngine, RecognitionFailure
 from .slim import SlimEngine, TopDownConfig, k_best
@@ -26,6 +26,7 @@ EXIT_OK = 0
 EXIT_RECOGNITION = 2
 EXIT_PARSE = 3
 EXIT_IO = 4
+EXIT_OBSERVATION = 5
 
 CSV_COLUMNS = (
     "instance", "algorithm", "step", "hypotheses", "combinations",
@@ -69,9 +70,9 @@ def run_recognition(library_path: str | Path, obs_path: str | Path, algorithm: s
     """Run one engine over one observation file, recording per-step metrics.
 
     Raises the engine's :class:`RecognitionFailure` when some observation
-    cannot be explained, and :class:`LibraryError` when one is unknown or not
-    a terminal (after writing the CSV rows of the steps before it and of the
-    failure).
+    cannot be explained, and an :class:`ObservationError` naming
+    ``obs_path`` when one is unknown or not a terminal (after writing the
+    CSV rows of the steps before it and of the failure).
     """
     lib = load_library(library_path)
     obs = read_observations(obs_path)
@@ -80,6 +81,8 @@ def run_recognition(library_path: str | Path, obs_path: str | Path, algorithm: s
                             instance, step_hook, emit_path)
     if csv_path is not None:
         write_metrics_csv(records, csv_path)
+    if isinstance(failure, ObservationError):
+        failure.source = str(obs_path)
     if failure is not None:
         raise failure
     return records[0]
@@ -88,7 +91,7 @@ def run_recognition(library_path: str | Path, obs_path: str | Path, algorithm: s
 def _run(lib: PlanLibrary, obs: list[str], algorithm: str, k_values: list[int | None],
          max_depth: int | None, prune: bool, instance: str,
          hook: StepHook | None = None, emit_path: str | Path | None = None
-         ) -> tuple[list[RunRecord], RecognitionFailure | LibraryError | None]:
+         ) -> tuple[list[RunRecord], RecognitionFailure | ObservationError | None]:
     """One engine over one sequence: a record per variant (PHATT, or each SLIM
     ``k`` compiled by the same engine), and the failure that stopped it, if
     any: status ``fail@<step>`` when no hypothesis explains an observation,
@@ -111,12 +114,10 @@ def _run(lib: PlanLibrary, obs: list[str], algorithm: str, k_values: list[int | 
     try:
         hyps = drive(lib, obs, step, engine.counter, algorithm, steps,
                      None if hook is None else partial(hook, instance, algorithm))
-    except RecognitionFailure as failure:
-        return [RunRecord(instance, tag, tuple(steps), status=f"fail@{failure.step}")
+    except (RecognitionFailure, ObservationError) as failure:
+        status = "fail" if isinstance(failure, RecognitionFailure) else "error"
+        return [RunRecord(instance, tag, tuple(steps), status=f"{status}@{failure.step}")
                 for tag, _ in variants], failure
-    except LibraryError as error:  # a bad observation; the library itself parsed
-        return [RunRecord(instance, tag, tuple(steps), status=f"error@{len(steps) + 1}")
-                for tag, _ in variants], error
     out = []
     for tag, k in variants:
         goal_rooted, topdown_us = (hyps if algorithm == "phatt" else []), 0

@@ -6,8 +6,9 @@ terminal leaf directly, fusing a fragment into a matching open node, joining
 a plan and a fragment under a freshly created common parent, or keeping the
 fragment as a standalone plan. Local hypotheses never grow paths toward the
 goals; on demand, the top-down compiler replays their plans (in creation
-order) through a modified PHATT that grafts each plan into goal-rooted
-leftmost trees.
+order) through :meth:`PhattEngine.advance`, the modified-PHATT step that
+PHATT runs with a realized leaf as the target and the compiler runs with
+each plan, grafted into goal-rooted leftmost trees.
 """
 
 from __future__ import annotations
@@ -16,15 +17,14 @@ import time
 from dataclasses import dataclass, replace
 from typing import Iterable, Mapping
 
-from .grammar import LibraryError, PlanLibrary, Rule
+from .grammar import ObservationError, PlanLibrary, Rule
 from .metrics import CombinationCounter, drive
 from .phatt import PhattConfig, PhattEngine, RecognitionFailure, _merge
 from .trees import (
     EMPTY_HYPOTHESIS,
     Hypothesis,
     PlanNode,
-    enabled_frontier,
-    node_at,
+    frontier_entries,
     open_node,
     realized_leaf,
     try_expand,
@@ -102,20 +102,15 @@ def sibling_slots(lib: PlanLibrary, sym: int, prune: bool = True
     Maps a plan's root symbol to ``(rule, i, j, opens)`` for every rule
     occurrence ``j`` of ``sym`` (in :func:`create_fragments` order) and every
     other position ``i`` of that rule carrying the plan's symbol, in position
-    order; ``opens`` holds the rule's open children. Built once per
-    ``(sym, prune)`` and cached on the library.
+    order; ``opens`` holds the rule's open children.
     """
-    key = ("slots", sym, prune)
-    slots = lib.tree_cache.get(key)
-    if slots is None:
-        table: dict[int, list] = {}
-        for rule, j in _hosts(lib, sym, prune):
-            opens = tuple(open_node(lib, s) for s in rule.rhs)
-            for i, s in enumerate(rule.rhs):
-                if i != j:
-                    table.setdefault(s, []).append((rule, i, j, opens))
-        slots = lib.tree_cache[key] = {s: tuple(v) for s, v in table.items()}
-    return slots
+    table: dict[int, list] = {}
+    for rule, j in _hosts(lib, sym, prune):
+        opens = tuple(open_node(lib, s) for s in rule.rhs)
+        for i, s in enumerate(rule.rhs):
+            if i != j:
+                table.setdefault(s, []).append((rule, i, j, opens))
+    return {s: tuple(v) for s, v in table.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -125,13 +120,13 @@ def sibling_slots(lib: PlanLibrary, sym: int, prune: bool = True
 
 def combine_directly(lib: PlanLibrary, h: Hypothesis, obs: int, ts: int,
                      counter: CombinationCounter | None = None,
-                     frontier_cache: dict | None = None) -> list[Hypothesis]:
-    """Realize enabled open terminal leaves labeled ``obs`` at ``ts``."""
+                     frontier=frontier_entries) -> list[Hypothesis]:
+    """Realize enabled open terminal leaves labeled ``obs`` at ``ts``;
+    ``frontier(plan)`` lists a plan's enabled (path, symbol) pairs."""
     out = []
     for pi, p in enumerate(h.plans):
-        for path in _frontier(p, frontier_cache):
-            node = node_at(p, path)
-            if node.symbol != obs:
+        for path, sym in frontier(p):
+            if sym != obs:
                 continue
             if counter is not None:
                 counter.n += 1
@@ -143,13 +138,13 @@ def combine_directly(lib: PlanLibrary, h: Hypothesis, obs: int, ts: int,
 
 def combine_as_child(lib: PlanLibrary, h: Hypothesis, f: Fragment,
                      counter: CombinationCounter | None = None,
-                     frontier_cache: dict | None = None) -> list[Hypothesis]:
+                     frontier=frontier_entries) -> list[Hypothesis]:
     """Fuse the fragment into enabled open nodes matching its root symbol."""
     out = []
-    sym = f.root.symbol
+    root_sym = f.root.symbol
     for pi, p in enumerate(h.plans):
-        for path in _frontier(p, frontier_cache):
-            if node_at(p, path).symbol != sym:
+        for path, sym in frontier(p):
+            if sym != root_sym:
                 continue
             if counter is not None:
                 counter.n += 1
@@ -159,20 +154,18 @@ def combine_as_child(lib: PlanLibrary, h: Hypothesis, f: Fragment,
     return out
 
 
-def combine_as_sibling(lib: PlanLibrary, h: Hypothesis, f: Fragment,
-                       prune: bool = True,
+def combine_as_sibling(lib: PlanLibrary, h: Hypothesis, f: Fragment, slots: dict,
                        counter: CombinationCounter | None = None) -> list[Hypothesis]:
     """Join a plan of ``h`` and the fragment under a new common parent.
 
-    The rules of the generalized fragments for the fragment's root symbol
-    (:func:`sibling_slots`) supply the candidate parents; the plan grafts at
-    every other position carrying its root symbol. Ordering constraints are
+    ``slots``, the :func:`sibling_slots` table of the fragment's root
+    symbol, supplies the candidate parents; the plan grafts at every other
+    position carrying its root symbol. Ordering constraints are
     enforced on the assembled parent, which keeps the smallest-timestamp
     bookkeeping implicit (the new plan's minimum realized timestamp is the
     minimum over both constituents).
     """
     out = []
-    slots = sibling_slots(lib, f.root.symbol, prune)
     for pi, p in enumerate(h.plans):
         for rule, i, j, opens in slots.get(p.symbol, ()):
             if counter is not None:
@@ -194,63 +187,10 @@ def combine_independently(lib: PlanLibrary, h: Hypothesis, f: Fragment,
     return h.with_plan(f.root)
 
 
-def _frontier(plan: PlanNode, cache: dict | None):
-    if cache is None:
-        return enabled_frontier(plan)
-    paths = cache.get(plan)
-    if paths is None:
-        paths = enabled_frontier(plan)
-        cache[plan] = paths
-    return paths
-
-
 def k_best(hyps: Iterable[Hypothesis], k: int | None) -> list[Hypothesis]:
     """Top ``k`` by weight, descending; ties broken by canonical form."""
     ranked = sorted(hyps, key=lambda h: (-h.weight, h.canon))
     return ranked if k is None else ranked[:k]
-
-
-# ---------------------------------------------------------------------------
-# Top-down compilation
-# ---------------------------------------------------------------------------
-
-
-States = dict[tuple[PlanNode, ...], Hypothesis]
-_UNSEEN = object()
-
-
-def _advance_states(eng: PhattEngine, states: States, target: PlanNode) -> States:
-    """One modified-PHATT step: weave ``target`` into every partial
-    goal-rooted hypothesis, as a new plan or grafted at an enabled node.
-
-    The states share most of their plans, so the grafts of ``target`` (per
-    frontier symbol) and each fusion (per plan, path and graft) are computed
-    once per call; every attempt still counts."""
-    lib = eng.lib
-    prior = eng.cfg.goal_prior
-    cnt = eng.counter
-    roots = eng.grafted(-1, target)
-    subs_by_sym: dict[int, tuple[PlanNode, ...]] = {}
-    fused_memo: dict[tuple, PlanNode | None] = {}
-    nxt: States = {}
-    for s in states.values():
-        for plan in roots:  # new goal-rooted plan
-            cnt.n += 1
-            _merge(nxt, s.with_plan(plan, prior))
-        for qi, q in enumerate(s.plans):  # graft into an existing plan
-            for path, sym in eng.frontier(q):
-                subs = subs_by_sym.get(sym)
-                if subs is None:
-                    subs = subs_by_sym[sym] = eng.grafted(sym, target)
-                for sub in subs:
-                    cnt.n += 1
-                    key = (q, path, sub)
-                    fused = fused_memo.get(key, _UNSEEN)
-                    if fused is _UNSEEN:
-                        fused = fused_memo[key] = try_fuse(lib, q, path, sub)
-                    if fused is not None:
-                        _merge(nxt, s.with_replaced(qi, fused, prior))
-    return nxt
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +207,6 @@ class SlimEngine:
         self.cfg = cfg or TopDownConfig.for_library(lib)
         self.prune = prune
         self.counter = counter or CombinationCounter()
-        self._frontier_cache: dict = {}
         self._phatt = PhattEngine(lib, self.cfg, self.counter)
 
     def step(self, hyps: tuple[Hypothesis, ...], obs: int, ts: int) -> tuple[Hypothesis, ...]:
@@ -275,17 +214,18 @@ class SlimEngine:
         through all four functions, deduplicating by canonical form."""
         lib = self.lib
         if not lib.is_terminal(obs):
-            raise LibraryError(f"observation {lib.name(obs)!r} is not a terminal")
-        prune, counter, cache = self.prune, self.counter, self._frontier_cache
+            raise ObservationError(ts, lib.name(obs), "is not a terminal")
+        prune, counter, frontier = self.prune, self.counter, self._phatt.frontier
         out: dict[tuple[PlanNode, ...], Hypothesis] = {}
         fragments = create_fragments(lib, obs, ts, prune)
+        slots = [sibling_slots(lib, f.root.symbol, prune) for f in fragments]
         for h in hyps:
-            for cand in combine_directly(lib, h, obs, ts, counter, cache):
+            for cand in combine_directly(lib, h, obs, ts, counter, frontier):
                 _merge(out, cand)
-            for f in fragments:
-                for cand in combine_as_child(lib, h, f, counter, cache):
+            for f, f_slots in zip(fragments, slots):
+                for cand in combine_as_child(lib, h, f, counter, frontier):
                     _merge(out, cand)
-                for cand in combine_as_sibling(lib, h, f, prune, counter):
+                for cand in combine_as_sibling(lib, h, f, f_slots, counter):
                     _merge(out, cand)
                 _merge(out, combine_independently(lib, h, f, counter))
         if not out:
@@ -306,7 +246,7 @@ class SlimEngine:
         per_local: list[list[Hypothesis]] = [[] for _ in selected]
         initial = {EMPTY_HYPOTHESIS.plans: EMPTY_HYPOTHESIS}
 
-        def compile_group(indices: list[int], depth: int, states: States):
+        def compile_group(indices: list[int], depth: int, states: dict):
             groups: dict[PlanNode, list[int]] = {}
             for i in indices:
                 plans = selected[i].plans
@@ -315,7 +255,7 @@ class SlimEngine:
                     continue
                 groups.setdefault(plans[depth], []).append(i)
             for target, group in groups.items():
-                sub = _advance_states(self._phatt, states, target)
+                sub = self._phatt.advance(states.values(), target)
                 if sub:
                     compile_group(group, depth + 1, sub)
 

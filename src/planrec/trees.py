@@ -108,15 +108,9 @@ class PlanNode:
 
 
 def open_node(lib: PlanLibrary, symbol: int) -> PlanNode:
-    """The (shared) open-frontier node for a symbol."""
-    cache = lib.tree_cache
-    key = ("open", symbol)
-    node = cache.get(key)
-    if node is None:
-        node = PlanNode(symbol, None, (), None, False, None, None,
-                        1.0, 0, 1, 0, lib.name(symbol) + "?")
-        cache[key] = node
-    return node
+    """The open-frontier node for a symbol."""
+    return PlanNode(symbol, None, (), None, False, None, None,
+                    1.0, 0, 1, 0, lib.name(symbol) + "?")
 
 
 def realized_leaf(lib: PlanLibrary, symbol: int, ts: int) -> PlanNode:
@@ -211,6 +205,11 @@ def enabled_frontier(root: PlanNode) -> tuple[Path, ...]:
 
     walk(root, ())
     return tuple(out)
+
+
+def frontier_entries(root: PlanNode) -> tuple[tuple[Path, int], ...]:
+    """The :func:`enabled_frontier` paths paired with their nodes' symbols."""
+    return tuple((path, node_at(root, path).symbol) for path in enabled_frontier(root))
 
 
 def try_fuse(lib: PlanLibrary, root: PlanNode, path: Path, sub: PlanNode) -> PlanNode | None:

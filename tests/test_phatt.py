@@ -1,7 +1,9 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from planrec.domains import generate_domain, simulate_agent
 from planrec.grammar import parse_library
+from planrec.metrics import CombinationCounter
 from planrec.phatt import (
     HypothesisSet,
     PhattConfig,
@@ -15,6 +17,7 @@ from planrec.phatt import (
 from planrec.trees import Hypothesis, parse_hypothesis, parse_plan, verify_hypothesis
 
 from oracles import all_agent_prefixes, enumerate_goal_hypotheses
+from test_acceptance import BENCH_A
 
 
 def run(lib, names, **kw):
@@ -239,6 +242,22 @@ def test_engine_counts_combinations(lib):
     hset = HypothesisSet.initial()
     hset = engine.step(hset, lib.sym("a"))
     assert engine.counter.n >= len(hset.hypotheses)
+
+
+@pytest.mark.parametrize("case, attempts, kept", [
+    ("running-example", 5, 2),
+    ("benchmark-a-1000", 11330, 1724),  # many hypotheses share plans: memo hits
+])
+def test_step_counts_every_attempt(lib, case, attempts, kept):
+    # the values the unmemoized step counted, one per attempted graft
+    if case == "running-example":
+        names = ["a", "c", "b"]
+    else:
+        lib = generate_domain(BENCH_A)
+        names = simulate_agent(lib, 1000)
+    counter = CombinationCounter()
+    hset, _ = phatt_recognize(lib, names, counter=counter)
+    assert (counter.n, len(hset.hypotheses)) == (attempts, kept)
 
 
 def test_recognize_returns_metrics(lib):

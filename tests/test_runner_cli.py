@@ -1,7 +1,7 @@
 import pytest
 
 from planrec.cli import main
-from planrec.grammar import LibraryError
+from planrec.grammar import ObservationError
 from planrec.metrics import predicted_bound
 from planrec.phatt import RecognitionFailure
 from planrec.runner import (
@@ -210,11 +210,11 @@ def test_benchmark_records_bad_observations_without_aborting(tmp_path, bad_obs, 
     # the step before the bad token keeps its row
     assert all(row.endswith(status) for row in rows if row.startswith("bad,"))
     assert sum(row.startswith("bad,phatt,1,") for row in rows) == 1
-    # a single recognition still raises, so `planrec recognize` exits 3
-    with pytest.raises(LibraryError):
+    # a single recognition still raises, so `planrec recognize` exits 5
+    with pytest.raises(ObservationError):
         run_recognition(lib_path, obs_dir / "bad.txt", "slim")
     assert main(["recognize", "--library", str(lib_path), "--observations",
-                 str(obs_dir / "bad.txt"), "--algorithm", "phatt"]) == 3
+                 str(obs_dir / "bad.txt"), "--algorithm", "phatt"]) == 5
 
 
 def test_parse_k():
@@ -253,6 +253,23 @@ def test_cli_recognize_failure_exit_code(workspace, tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "observation 1" in err and "'b'" in err
+
+
+@pytest.mark.parametrize("algorithm", ["phatt", "slim"])
+@pytest.mark.parametrize("token, problem", [("X", "is not a terminal"),
+                                            ("z", "is not in the library")],
+                         ids=["nonterminal", "unknown"])
+def test_cli_recognize_bad_observation_exit_code(workspace, tmp_path, capsys,
+                                                 algorithm, token, problem):
+    tmp, lib_path, obs_dir = workspace
+    bad = tmp_path / "bad.txt"
+    bad.write_text(f"a c {token} b\n")
+    code = main(["recognize", "--library", str(lib_path), "--observations", str(bad),
+                 "--algorithm", algorithm])
+    assert code == 5
+    err = capsys.readouterr().err
+    assert f"{bad}: observation '{token}' at step 3 {problem}" in err
+    assert "library error" not in err
 
 
 def test_cli_parse_error_exit_code(tmp_path, capsys):

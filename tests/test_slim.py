@@ -143,7 +143,7 @@ def test_combine_as_child_symbol_mismatch(lib):
 def test_combine_as_sibling_fig_example(lib):
     h = parse_hypothesis(lib, "A(a@1)")
     (frag,) = create_fragments(lib, lib.sym("c"), 2)
-    out = combine_as_sibling(lib, h, frag)
+    out = combine_as_sibling(lib, h, frag, sibling_slots(lib, frag.root.symbol))
     assert canons(out) == {"X(A(a@1) B? C(c@2))"}
 
 
@@ -151,13 +151,13 @@ def test_combine_as_sibling_rejects_ordering_violation(lib):
     h = parse_hypothesis(lib, "C(c@1)")
     (frag,) = create_fragments(lib, lib.sym("b"), 2)
     # candidate X(A? B(b@2) C(c@1)) breaks (A before B)
-    assert combine_as_sibling(lib, h, frag) == []
+    assert combine_as_sibling(lib, h, frag, sibling_slots(lib, frag.root.symbol)) == []
 
 
 def test_combine_as_sibling_valid_pair(lib):
     h = parse_hypothesis(lib, "A(a@1)")
     (frag,) = create_fragments(lib, lib.sym("b"), 2)
-    out = combine_as_sibling(lib, h, frag)
+    out = combine_as_sibling(lib, h, frag, sibling_slots(lib, frag.root.symbol))
     assert canons(out) == {"X(A(a@1) B(b@2) C?)"}
 
 
@@ -191,7 +191,8 @@ def assert_sibling_slots_match_reference(lib, sequences, prune):
             for f in create_fragments(lib, obs, ts, prune):
                 for h in hyps:
                     got_n, want_n = CombinationCounter(), CombinationCounter()
-                    got = combine_as_sibling(lib, h, f, prune, got_n)
+                    slots = sibling_slots(lib, f.root.symbol, prune)
+                    got = combine_as_sibling(lib, h, f, slots, got_n)
                     want = sibling_reference(lib, h, f, ts, prune, want_n)
                     assert [(c.canon, c.weight) for c in got] == \
                         [(c.canon, c.weight) for c in want], (names, ts, h.canon)
@@ -297,11 +298,12 @@ def test_fragment_timestamp_law(lib):
     # after a sibling fusion the plan's min timestamp is the min of parts
     h = parse_hypothesis(lib, "A(a@1)")
     (frag,) = create_fragments(lib, lib.sym("c"), 2)
-    (out,) = combine_as_sibling(lib, h, frag)
+    (out,) = combine_as_sibling(lib, h, frag, sibling_slots(lib, frag.root.symbol))
     assert out.plans[0].min_ts == 1
     h_rev = parse_hypothesis(lib, "C(c@1)")
     (frag_a,) = create_fragments(lib, lib.sym("a"), 2)
-    (out_rev,) = combine_as_sibling(lib, h_rev, frag_a)
+    (out_rev,) = combine_as_sibling(lib, h_rev, frag_a,
+                                    sibling_slots(lib, frag_a.root.symbol))
     assert out_rev.plans[0].min_ts == 1
 
 
@@ -358,6 +360,22 @@ def test_top_down_counts_every_attempt(lib, case, bottom_up_n, top_down_n):
     assert engine.counter.n == bottom_up_n
     engine.compile_top_down(local)
     assert engine.counter.n == bottom_up_n + top_down_n
+
+
+def test_recognition_leaves_the_library_unchanged():
+    lib = generate_domain(BENCH_A)
+    names = simulate_agent(lib, 1000)
+    before = dict(vars(lib))
+    sizes = {key: len(value) for key, value in before.items() if hasattr(value, "__len__")}
+    phatt_recognize(lib, names)
+    engine = SlimEngine(lib, cfg_all(lib))
+    local = drive(lib, names, engine.step, engine.counter, "slim", [])
+    assert engine.compile_top_down(local)[0]
+    after = vars(lib)
+    assert after.keys() == before.keys()
+    assert all(after[key] is value for key, value in before.items())
+    assert {key: len(after[key]) for key in sizes} == sizes
+    assert not hasattr(lib, "tree_cache")
 
 
 def test_top_down_config_validates_like_phatt(lib):
