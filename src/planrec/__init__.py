@@ -24,13 +24,9 @@ from .phatt import (
     PhattEngine,
     RecognitionFailure,
     default_max_depth,
-    hypothesis_probability,
-    leftmost_trees,
-    phatt_recognize,
 )
 from .runner import emit_hypotheses, run_benchmark, run_recognition
 from .slim import (
-    Fragment,
     SlimEngine,
     TopDownConfig,
     combine_as_child,
@@ -39,26 +35,20 @@ from .slim import (
     combine_independently,
     create_fragments,
     k_best,
-    slim_recognize,
 )
 from .trees import (
     EMPTY_HYPOTHESIS,
     FusionError,
     Hypothesis,
-    NotOpenFrontier,
     OrderingViolation,
     PlanNode,
-    SymbolMismatch,
-    check_temporal_consistency,
     enabled_frontier,
-    fuse,
     node_at,
     open_node,
     parse_hypothesis,
     parse_plan,
     realized_leaf,
     try_fuse,
-    verify_hypothesis,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -28,6 +28,18 @@ from .runner import (
 )
 
 
+ALGORITHMS = ("phatt", "slim")
+
+
+def algorithm_list(text: str) -> list[str]:
+    """Comma-separated engine names, each one of :data:`ALGORITHMS`."""
+    names = [a.strip() for a in text.split(",") if a.strip()]
+    unknown = [a for a in names if a not in ALGORITHMS]
+    if unknown:
+        raise ValueError(f"unknown algorithm {unknown[0]!r}")
+    return names
+
+
 def k_list(text: str) -> list[int | None]:
     """Comma-separated top-down budgets, each checked by :func:`parse_k`."""
     return [parse_k(v.strip()) for v in text.split(",") if v.strip()]
@@ -50,14 +62,12 @@ def build_parser() -> argparse.ArgumentParser:
     rec = sub.add_parser("recognize", help="run one engine over one observation file")
     rec.add_argument("--library", required=True)
     rec.add_argument("--observations", required=True)
-    rec.add_argument("--algorithm", required=True, choices=["phatt", "slim"])
+    rec.add_argument("--algorithm", required=True, choices=ALGORITHMS)
     rec.add_argument("--k", type=parse_k, default="0",
                      help="top-down budget for slim: an integer or 'all'")
     rec.add_argument("--max-depth", type=positive_int, default=None)
     rec.add_argument("--emit-hypotheses", default=None, metavar="PATH")
     rec.add_argument("--metrics-csv", default=None, metavar="PATH")
-    rec.add_argument("--no-prune", action="store_true",
-                     help="keep fragments not reachable from any goal")
 
     gen = sub.add_parser("generate", help="generate a synthetic AND/OR library")
     gen.add_argument("--goals", type=int, default=5)
@@ -79,13 +89,12 @@ def build_parser() -> argparse.ArgumentParser:
     bench = sub.add_parser("bench", help="run a benchmark over an observation directory")
     bench.add_argument("--library", required=True)
     bench.add_argument("--obs-dir", required=True)
-    bench.add_argument("--algorithms", default="phatt,slim",
+    bench.add_argument("--algorithms", type=algorithm_list, default="phatt,slim",
                        help="comma-separated: phatt,slim")
     bench.add_argument("--k-list", type=k_list, default="0",
                        help="comma-separated top-down budgets for slim, e.g. 0,100,all")
     bench.add_argument("--metrics-csv", default=None, metavar="PATH")
     bench.add_argument("--max-depth", type=positive_int, default=None)
-    bench.add_argument("--no-prune", action="store_true")
 
     return parser
 
@@ -114,7 +123,7 @@ def _dispatch(args) -> int:
         record = run_recognition(
             args.library, args.observations, args.algorithm, k=args.k,
             max_depth=args.max_depth, emit_path=args.emit_hypotheses,
-            csv_path=args.metrics_csv, prune=not args.no_prune,
+            csv_path=args.metrics_csv,
         )
         print(f"{record.algorithm}: {record.final_hypotheses} hypotheses "
               f"({record.goal_rooted} goal-rooted) after {len(record.steps)} observations")
@@ -146,11 +155,9 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if args.command == "bench":
-        algorithms = [a.strip() for a in args.algorithms.split(",") if a.strip()]
         summary = run_benchmark(
-            args.library, args.obs_dir, algorithms, args.k_list,
+            args.library, args.obs_dir, args.algorithms, args.k_list,
             csv_path=args.metrics_csv, max_depth=args.max_depth,
-            prune=not args.no_prune,
         )
         print(format_summary(summary))
         return EXIT_OK

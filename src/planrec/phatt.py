@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .grammar import PROB_TOL, ObservationError, PlanLibrary
-from .metrics import CombinationCounter, drive
+from .metrics import CombinationCounter
 from .trees import (
     EMPTY_HYPOTHESIS,
     Hypothesis,
@@ -86,16 +86,6 @@ class LeftmostTree:
     path: Path
 
 
-def leftmost_trees(lib: PlanLibrary, target: int, roots, max_depth: int) -> tuple[LeftmostTree, ...]:
-    """All leftmost trees of depth <= max_depth deriving ``target`` from a
-    root in ``roots``; the designated path uses only positions with no
-    ordering predecessor at any level."""
-    out: list[LeftmostTree] = []
-    for root in sorted(roots):
-        out.extend(_trees_from(lib, root, target, max_depth))
-    return tuple(out)
-
-
 def _trees_from(lib: PlanLibrary, sym: int, target: int, budget: int) -> list[LeftmostTree]:
     res: list[LeftmostTree] = []
     if sym == target:
@@ -139,11 +129,13 @@ class PhattEngine:
         self.cfg = cfg or PhattConfig.for_library(lib)
         self.counter = counter or CombinationCounter()
         self._tree_memo: dict[tuple[int, int], tuple[LeftmostTree, ...]] = {}
-        self._goal_memo: dict[int, tuple[LeftmostTree, ...]] = {}
         self._frontier_memo: dict[PlanNode, tuple[tuple[Path, int], ...]] = {}
         self._graft_memo: dict[tuple[int, PlanNode], tuple[PlanNode, ...]] = {}
 
     def trees_from(self, root_sym: int, target: int) -> tuple[LeftmostTree, ...]:
+        """All leftmost trees of depth <= ``max_depth`` deriving ``target``
+        from ``root_sym``; the designated path uses only positions with no
+        ordering predecessor at any level. Memoized."""
         key = (root_sym, target)
         trees = self._tree_memo.get(key)
         if trees is None:
@@ -152,11 +144,8 @@ class PhattEngine:
         return trees
 
     def goal_trees(self, target: int) -> tuple[LeftmostTree, ...]:
-        trees = self._goal_memo.get(target)
-        if trees is None:
-            trees = leftmost_trees(self.lib, target, self.lib.goals, self.cfg.max_depth)
-            self._goal_memo[target] = trees
-        return trees
+        """The :meth:`trees_from` of every goal, in goal order."""
+        return tuple(lt for g in self.lib.goals for lt in self.trees_from(g, target))
 
     def frontier(self, plan: PlanNode) -> tuple[tuple[Path, int], ...]:
         """:func:`~planrec.trees.frontier_entries` of a plan, memoized."""
@@ -245,27 +234,3 @@ def _merge(out: dict[tuple[PlanNode, ...], Hypothesis], cand: Hypothesis):
             f"duplicate hypothesis {cand.canon!r} with diverging weights "
             f"{prev.weight!r} vs {cand.weight!r}"
         )
-
-
-def phatt_recognize(lib: PlanLibrary, obs_names: list[str],
-                    cfg: PhattConfig | None = None,
-                    counter: CombinationCounter | None = None):
-    """Run PHATT over a whole sequence; returns ``(hypothesis_set, steps)``."""
-    engine = PhattEngine(lib, cfg, counter)
-    steps = []
-    hyps = drive(lib, obs_names,
-                 lambda hyps, sym, ts: engine.step(HypothesisSet(ts - 1, hyps), sym).hypotheses,
-                 engine.counter, "phatt", steps)
-    return HypothesisSet(len(obs_names), hyps), steps
-
-
-def hypothesis_probability(h: Hypothesis, lib: PlanLibrary, cfg: PhattConfig) -> float:
-    """Rule-probability product over all expanded nodes in all plans, times
-    the goal prior of every goal-rooted plan (fresh traversal, no caches)."""
-    total = 1.0
-    for plan in h.plans:
-        for node in plan.walk():
-            if node.rule is not None:
-                total *= node.rule.prob
-        total *= cfg.goal_prior.get(plan.symbol, 1.0)
-    return total

@@ -1,7 +1,8 @@
 """Recognition runs, hypothesis dumps, and the benchmark harness.
 
-Each run feeds one engine through :func:`planrec.metrics.drive`; one SLIM
-engine per instance serves every top-down ``k``, sharing its memos.
+:func:`_run` is the one place in the package that builds an engine and
+drives it: it feeds one engine through :func:`planrec.metrics.drive`, and
+one SLIM engine per instance serves every top-down ``k``, sharing its memos.
 
 Emits one metrics CSV row per (instance, algorithm, step) with the fixed
 schema ``instance,algorithm,step,hypotheses,combinations,frontier,max_depth,
@@ -64,8 +65,7 @@ def algorithm_tag(algorithm: str, k: int | None) -> str:
 def run_recognition(library_path: str | Path, obs_path: str | Path, algorithm: str,
                     k: int | str | None = 0, max_depth: int | None = None,
                     emit_path: str | Path | None = None,
-                    csv_path: str | Path | None = None,
-                    prune: bool = True, instance: str | None = None,
+                    csv_path: str | Path | None = None, instance: str | None = None,
                     step_hook: StepHook | None = None) -> RunRecord:
     """Run one engine over one observation file, recording per-step metrics.
 
@@ -77,7 +77,7 @@ def run_recognition(library_path: str | Path, obs_path: str | Path, algorithm: s
     lib = load_library(library_path)
     obs = read_observations(obs_path)
     instance = instance or Path(obs_path).stem
-    records, failure = _run(lib, obs, algorithm, [parse_k(k)], max_depth, prune,
+    records, failure = _run(lib, obs, algorithm, [parse_k(k)], max_depth,
                             instance, step_hook, emit_path)
     if csv_path is not None:
         write_metrics_csv(records, csv_path)
@@ -89,13 +89,14 @@ def run_recognition(library_path: str | Path, obs_path: str | Path, algorithm: s
 
 
 def _run(lib: PlanLibrary, obs: list[str], algorithm: str, k_values: list[int | None],
-         max_depth: int | None, prune: bool, instance: str,
+         max_depth: int | None, instance: str,
          hook: StepHook | None = None, emit_path: str | Path | None = None
          ) -> tuple[list[RunRecord], RecognitionFailure | ObservationError | None]:
     """One engine over one sequence: a record per variant (PHATT, or each SLIM
     ``k`` compiled by the same engine), and the failure that stopped it, if
     any: status ``fail@<step>`` when no hypothesis explains an observation,
-    ``error@<step>`` when it is unknown or not a terminal."""
+    ``error@<step>`` when it is unknown or not a terminal. An empty sequence
+    has no goal-rooted hypothesis: the empty hypothesis explains nothing."""
     if algorithm == "phatt":
         engine = PhattEngine(lib, PhattConfig.for_library(lib, max_depth))
 
@@ -104,8 +105,7 @@ def _run(lib: PlanLibrary, obs: list[str], algorithm: str, k_values: list[int | 
 
         variants = [("phatt", 0)]  # goal-rooted already: nothing to compile
     elif algorithm == "slim":
-        engine = SlimEngine(lib, TopDownConfig.for_library(lib, k=None, max_depth=max_depth),
-                            prune)
+        engine = SlimEngine(lib, TopDownConfig.for_library(lib, k=None, max_depth=max_depth))
         step = engine.step
         variants = [(algorithm_tag("slim", k), k) for k in k_values]
     else:
@@ -120,8 +120,10 @@ def _run(lib: PlanLibrary, obs: list[str], algorithm: str, k_values: list[int | 
                 for tag, _ in variants], failure
     out = []
     for tag, k in variants:
-        goal_rooted, topdown_us = (hyps if algorithm == "phatt" else []), 0
-        if k is None or k > 0:
+        goal_rooted, topdown_us = [], 0
+        if obs and algorithm == "phatt":
+            goal_rooted = hyps
+        elif obs and (k is None or k > 0):
             goal_rooted, topdown_us = engine.compile_top_down(k_best(hyps, k))
         out.append(RunRecord(instance, tag, tuple(steps), final_hypotheses=len(hyps),
                              goal_rooted=len(goal_rooted), topdown_us=topdown_us))
@@ -157,7 +159,7 @@ def write_metrics_csv(records: Iterable[RunRecord], path: str | Path):
 def run_benchmark(library_path: str | Path, obs_dir: str | Path,
                   algorithms: list[str], k_values: list[int | None],
                   csv_path: str | Path | None = None,
-                  max_depth: int | None = None, prune: bool = True,
+                  max_depth: int | None = None,
                   step_hook: StepHook | None = None) -> dict:
     """Run every (instance, algorithm variant) pair and summarize.
 
@@ -176,7 +178,7 @@ def run_benchmark(library_path: str | Path, obs_dir: str | Path,
         instance = obs_file.stem
         obs = read_observations(obs_file)
         for algorithm in algorithms:
-            records.extend(_run(lib, obs, algorithm, k_values, max_depth, prune,
+            records.extend(_run(lib, obs, algorithm, k_values, max_depth,
                                 instance, step_hook)[0])
     if csv_path is not None:
         write_metrics_csv(records, csv_path)

@@ -1,6 +1,7 @@
 """SLIM: semi-lazy plan recognition.
 
-Bottom-up, each observation commits only to depth-1 fragments, which are
+Bottom-up, each observation commits only to fragments: depth-1 plan nodes,
+each one rule over the realized observation and open siblings. They are
 combined with the running local hypotheses four ways: realizing an open
 terminal leaf directly, fusing a fragment into a matching open node, joining
 a plan and a fragment under a freshly created common parent, or keeping the
@@ -18,7 +19,7 @@ from dataclasses import dataclass, replace
 from typing import Iterable, Mapping
 
 from .grammar import ObservationError, PlanLibrary, Rule
-from .metrics import CombinationCounter, drive
+from .metrics import CombinationCounter
 from .phatt import PhattConfig, PhattEngine, RecognitionFailure, _merge
 from .trees import (
     EMPTY_HYPOTHESIS,
@@ -30,19 +31,6 @@ from .trees import (
     try_expand,
     try_fuse,
 )
-
-
-@dataclass(frozen=True)
-class Fragment:
-    """A depth-1 leftmost tree: one rule, one attachment child, created at
-    ``created_ts``. The attachment child is realized for terminal-driven
-    fragments and left open (marked by position only) for the generalized
-    fragments that sibling combination creates parents from."""
-
-    root: PlanNode
-    rule: Rule
-    attach_pos: int
-    created_ts: int
 
 
 @dataclass(frozen=True)
@@ -65,47 +53,40 @@ class TopDownConfig(PhattConfig):
         return replace(super().for_library(lib, max_depth, goal_prior), k=k)
 
 
-def create_fragments(lib: PlanLibrary, sym: int, ts: int, prune: bool = True) -> tuple[Fragment, ...]:
-    """Fragments for ``sym``: one per RHS occurrence that can host it.
+def create_fragments(lib: PlanLibrary, obs: int, ts: int) -> tuple[PlanNode, ...]:
+    """The fragments of observation ``obs`` at ``ts``: depth-1 plan nodes,
+    one per RHS occurrence of ``obs`` that can host it, with ``obs``
+    realized there and every sibling open. Each root carries its ``rule``.
 
-    For a terminal (a new observation), the occurrence position must have no
-    ordering predecessor, since siblings are all unrealized at creation. For
-    a nonterminal (generalized creation used by sibling combination), every
-    occurrence qualifies: the attachment stays open, so no constraint can be
-    violated before fusion. With ``prune``, rules whose head cannot be
-    reached from any goal are dropped.
+    The occurrence must have no ordering predecessor, since its siblings are
+    all unrealized at creation, and the rule's head must be reachable from
+    some goal.
     """
-    terminal = lib.is_terminal(sym)
-    out = []
-    for rule, pos in _hosts(lib, sym, prune):
-        if terminal and rule.preds[pos]:
-            continue
-        children = tuple(
-            realized_leaf(lib, s, ts) if i == pos and terminal else open_node(lib, s)
-            for i, s in enumerate(rule.rhs)
-        )
-        out.append(Fragment(try_expand(lib, rule, children), rule, pos, ts))
-    return tuple(out)
+    leaf = realized_leaf(lib, obs, ts)
+    return tuple(
+        try_expand(lib, rule, tuple(leaf if i == pos else open_node(lib, s)
+                                    for i, s in enumerate(rule.rhs)))
+        for rule, pos in _hosts(lib, obs) if not rule.preds[pos]
+    )
 
 
-def _hosts(lib: PlanLibrary, sym: int, prune: bool) -> list[tuple[Rule, int]]:
-    """``(rule, position)`` occurrences of ``sym``; with ``prune``, only in
-    rules whose head some goal reaches."""
-    return [(rule, pos) for rule, pos in lib.containing(sym)
-            if not prune or rule.lhs in lib.reachable]
+def _hosts(lib: PlanLibrary, sym: int) -> list[tuple[Rule, int]]:
+    """``(rule, position)`` occurrences of ``sym`` in rules whose head some
+    goal reaches."""
+    return [(rule, pos) for rule, pos in lib.containing(sym) if rule.lhs in lib.reachable]
 
 
-def sibling_slots(lib: PlanLibrary, sym: int, prune: bool = True
+def sibling_slots(lib: PlanLibrary, sym: int
                   ) -> dict[int, tuple[tuple[Rule, int, int, tuple[PlanNode, ...]], ...]]:
     """Parent slots for joining a plan with a fragment rooted at ``sym``.
 
     Maps a plan's root symbol to ``(rule, i, j, opens)`` for every rule
-    occurrence ``j`` of ``sym`` (in :func:`create_fragments` order) and every
+    occurrence ``j`` of ``sym`` (in rule and position order) and every
     other position ``i`` of that rule carrying the plan's symbol, in position
     order; ``opens`` holds the rule's open children.
     """
     table: dict[int, list] = {}
-    for rule, j in _hosts(lib, sym, prune):
+    for rule, j in _hosts(lib, sym):
         opens = tuple(open_node(lib, s) for s in rule.rhs)
         for i, s in enumerate(rule.rhs):
             if i != j:
@@ -136,25 +117,25 @@ def combine_directly(lib: PlanLibrary, h: Hypothesis, obs: int, ts: int,
     return out
 
 
-def combine_as_child(lib: PlanLibrary, h: Hypothesis, f: Fragment,
+def combine_as_child(lib: PlanLibrary, h: Hypothesis, f: PlanNode,
                      counter: CombinationCounter | None = None,
                      frontier=frontier_entries) -> list[Hypothesis]:
     """Fuse the fragment into enabled open nodes matching its root symbol."""
     out = []
-    root_sym = f.root.symbol
+    root_sym = f.symbol
     for pi, p in enumerate(h.plans):
         for path, sym in frontier(p):
             if sym != root_sym:
                 continue
             if counter is not None:
                 counter.n += 1
-            fused = try_fuse(lib, p, path, f.root)
+            fused = try_fuse(lib, p, path, f)
             if fused is not None:
                 out.append(h.with_replaced(pi, fused))
     return out
 
 
-def combine_as_sibling(lib: PlanLibrary, h: Hypothesis, f: Fragment, slots: dict,
+def combine_as_sibling(lib: PlanLibrary, h: Hypothesis, f: PlanNode, slots: dict,
                        counter: CombinationCounter | None = None) -> list[Hypothesis]:
     """Join a plan of ``h`` and the fragment under a new common parent.
 
@@ -172,19 +153,19 @@ def combine_as_sibling(lib: PlanLibrary, h: Hypothesis, f: Fragment, slots: dict
                 counter.n += 1
             children = list(opens)
             children[i] = p
-            children[j] = f.root
+            children[j] = f
             parent = try_expand(lib, rule, tuple(children))
             if parent is not None:
                 out.append(h.with_replaced(pi, parent))
     return out
 
 
-def combine_independently(lib: PlanLibrary, h: Hypothesis, f: Fragment,
+def combine_independently(lib: PlanLibrary, h: Hypothesis, f: PlanNode,
                           counter: CombinationCounter | None = None) -> Hypothesis:
     """Append the fragment to the hypothesis as a standalone plan."""
     if counter is not None:
         counter.n += 1
-    return h.with_plan(f.root)
+    return h.with_plan(f)
 
 
 def k_best(hyps: Iterable[Hypothesis], k: int | None) -> list[Hypothesis]:
@@ -202,23 +183,26 @@ class SlimEngine:
     """Bottom-up recognition over a sequence plus on-demand compilation."""
 
     def __init__(self, lib: PlanLibrary, cfg: TopDownConfig | None = None,
-                 prune: bool = True, counter: CombinationCounter | None = None):
+                 counter: CombinationCounter | None = None):
         self.lib = lib
         self.cfg = cfg or TopDownConfig.for_library(lib)
-        self.prune = prune
         self.counter = counter or CombinationCounter()
         self._phatt = PhattEngine(lib, self.cfg, self.counter)
 
     def step(self, hyps: tuple[Hypothesis, ...], obs: int, ts: int) -> tuple[Hypothesis, ...]:
         """Combine observation ``obs`` (step ``ts``) with every local hypothesis
-        through all four functions, deduplicating by canonical form."""
+        through all four functions, keeping one hypothesis per plan tuple.
+
+        The result keeps the order in which the hypotheses were first built,
+        which the input order fixes; :func:`k_best`, the top-down compile and
+        :func:`~planrec.runner.emit_hypotheses` rank for themselves."""
         lib = self.lib
         if not lib.is_terminal(obs):
             raise ObservationError(ts, lib.name(obs), "is not a terminal")
-        prune, counter, frontier = self.prune, self.counter, self._phatt.frontier
+        counter, frontier = self.counter, self._phatt.frontier
         out: dict[tuple[PlanNode, ...], Hypothesis] = {}
-        fragments = create_fragments(lib, obs, ts, prune)
-        slots = [sibling_slots(lib, f.root.symbol, prune) for f in fragments]
+        fragments = create_fragments(lib, obs, ts)
+        slots = [sibling_slots(lib, f.symbol) for f in fragments]
         for h in hyps:
             for cand in combine_directly(lib, h, obs, ts, counter, frontier):
                 _merge(out, cand)
@@ -230,60 +214,34 @@ class SlimEngine:
                 _merge(out, combine_independently(lib, h, f, counter))
         if not out:
             raise RecognitionFailure(ts, lib.name(obs))
-        return tuple(sorted(out.values(), key=lambda h: h.canon))
+        return tuple(out.values())
 
     def compile_top_down(self, hyps: Iterable[Hypothesis]) -> tuple[list[Hypothesis], int]:
         """Top-down compile the k best local hypotheses; returns the merged
         goal-rooted list and the elapsed microseconds.
 
-        Locals are compiled in ranking order but share state computation
-        over common plan-sequence prefixes (the ranking is canonical, so the
-        selected locals cluster on shared prefixes); the output equals
-        compiling each local alone and keeping one copy of each hypothesis.
+        Locals share state computation over common plan-sequence prefixes;
+        the output equals compiling each local alone and keeping one copy of
+        each hypothesis, ranked by weight and then canonical form (a total
+        order on distinct hypotheses).
         """
         t0 = time.perf_counter_ns()
         selected = k_best(hyps, self.cfg.k)
-        per_local: list[list[Hypothesis]] = [[] for _ in selected]
-        initial = {EMPTY_HYPOTHESIS.plans: EMPTY_HYPOTHESIS}
+        out: dict[tuple[PlanNode, ...], Hypothesis] = {}
 
-        def compile_group(indices: list[int], depth: int, states: dict):
-            groups: dict[PlanNode, list[int]] = {}
-            for i in indices:
-                plans = selected[i].plans
-                if len(plans) == depth:
-                    per_local[i] = list(states.values())
-                    continue
-                groups.setdefault(plans[depth], []).append(i)
+        def compile_group(locals_: list[Hypothesis], depth: int, states: dict):
+            groups: dict[PlanNode, list[Hypothesis]] = {}
+            for local in locals_:
+                if len(local.plans) == depth:
+                    out.update(states)
+                else:
+                    groups.setdefault(local.plans[depth], []).append(local)
             for target, group in groups.items():
                 sub = self._phatt.advance(states.values(), target)
                 if sub:
                     compile_group(group, depth + 1, sub)
 
-        compile_group(list(range(len(selected))), 0, initial)
-
-        dedup: set[Hypothesis] = set()
-        merged: list[Hypothesis] = []
-        for outputs in per_local:
-            for h in sorted(outputs, key=lambda h: (-h.weight, h.canon)):
-                if h not in dedup:
-                    dedup.add(h)
-                    merged.append(h)
-        merged.sort(key=lambda h: (-h.weight, h.canon))
+        compile_group(selected, 0, {EMPTY_HYPOTHESIS.plans: EMPTY_HYPOTHESIS})
+        merged = sorted(out.values(), key=lambda h: (-h.weight, h.canon))
         elapsed = (time.perf_counter_ns() - t0) // 1000
         return merged, elapsed
-
-
-def slim_recognize(lib: PlanLibrary, obs_names: list[str],
-                   cfg: TopDownConfig | None = None, prune: bool = True,
-                   counter: CombinationCounter | None = None):
-    """Bottom-up over the whole sequence, then top-down for the k best.
-
-    Returns ``(local_hypotheses, goal_rooted, per_step_metrics)``.
-    """
-    engine = SlimEngine(lib, cfg, prune, counter)
-    steps = []
-    locals_ = drive(lib, obs_names, engine.step, engine.counter, "slim", steps)
-    goal_rooted: list[Hypothesis] = []
-    if obs_names and engine.cfg.k != 0:
-        goal_rooted, _ = engine.compile_top_down(locals_)
-    return locals_, goal_rooted, steps

@@ -33,14 +33,6 @@ class FusionError(ValueError):
     """Fusion at the requested node is not possible."""
 
 
-class SymbolMismatch(FusionError):
-    pass
-
-
-class NotOpenFrontier(FusionError):
-    pass
-
-
 class OrderingViolation(FusionError):
     pass
 
@@ -237,31 +229,6 @@ def try_fuse(lib: PlanLibrary, root: PlanNode, path: Path, sub: PlanNode) -> Pla
     return rebuild(root, 0)
 
 
-def fuse(lib: PlanLibrary, root: PlanNode, path: Path, sub: PlanNode) -> PlanNode:
-    """Like :func:`try_fuse` but raises a distinct :class:`FusionError` per cause."""
-    target = node_at(root, path)
-    if not target.is_open:
-        raise NotOpenFrontier(f"node at {path} is not in the open frontier")
-    if target.symbol != sub.symbol:
-        raise SymbolMismatch(
-            f"cannot fuse {lib.name(sub.symbol)!r} at a node labeled "
-            f"{lib.name(target.symbol)!r}"
-        )
-    fused = try_fuse(lib, root, path, sub)
-    if fused is None:
-        raise OrderingViolation("fusion violates an ordering constraint")
-    return fused
-
-
-def check_temporal_consistency(plan: PlanNode) -> bool:
-    """Full recursive check of every expanded node's ordering constraints."""
-    if plan.rule is not None:
-        if not _ordering_ok(plan.rule, plan.children):
-            return False
-        return all(check_temporal_consistency(c) for c in plan.children)
-    return True
-
-
 # ---------------------------------------------------------------------------
 # Hypotheses
 # ---------------------------------------------------------------------------
@@ -413,98 +380,3 @@ def _find_rule(lib: PlanLibrary, lhs: int, rhs: tuple[int, ...], rule_idx: int |
             f"{' '.join(lib.name(s) for s in rhs)}"
         )
     return matches[0]
-
-
-# ---------------------------------------------------------------------------
-# Brute-force verification (used by tests and the benchmark validation hook)
-# ---------------------------------------------------------------------------
-
-
-def verify_hypothesis(lib: PlanLibrary, h: Hypothesis, n_obs: int,
-                      obs_syms: list[int] | None = None, priors=None) -> list[str]:
-    """Recompute every invariant from scratch; returns violation messages.
-
-    Checks exact observation coverage, temporal consistency (with a closure
-    recomputed here from the raw constraint pairs), agreement of all cached
-    node statistics with fresh recursion, and the weight product.
-    """
-    problems: list[str] = []
-    stamps: list[tuple[int, int]] = []  # (ts, symbol)
-    closures: dict[int, set] = {}
-
-    def closure_of(rule) -> set:
-        got = closures.get(rule.idx)
-        if got is None:
-            got = _slow_closure(rule.constraints, len(rule.rhs))
-            closures[rule.idx] = got
-        return got
-
-    def recompute(node: PlanNode):
-        # returns (complete, min_ts, max_ts, weight, height, opens, realized)
-        if node.rule is None:
-            if node.ts is None:
-                return (False, None, None, 1.0, 0, 1, 0)
-            stamps.append((node.ts, node.symbol))
-            return (True, node.ts, node.ts, 1.0, 0, 0, 1)
-        stats = [recompute(c) for c in node.children]
-        closure = closure_of(node.rule)
-        for i, j in closure:
-            comp_i, _, max_i = stats[i][0], stats[i][1], stats[i][2]
-            min_j = stats[j][1]
-            if min_j is not None and (not comp_i or max_i >= min_j):
-                problems.append(
-                    f"ordering ({i + 1},{j + 1}) of rule {node.rule.idx} violated at {node.canon}"
-                )
-        complete = all(s[0] for s in stats)
-        mins = [s[1] for s in stats if s[1] is not None]
-        maxs = [s[2] for s in stats if s[2] is not None]
-        weight = node.rule.prob
-        for s in stats:
-            weight *= s[3]
-        result = (
-            complete,
-            min(mins) if mins else None,
-            max(maxs) if maxs else None,
-            weight,
-            1 + max(s[4] for s in stats),
-            sum(s[5] for s in stats),
-            sum(s[6] for s in stats),
-        )
-        cached = (node.complete, node.min_ts, node.max_ts, node.weight,
-                  node.height, node.open_count, node.realized_count)
-        recomputed = result
-        if cached[:3] != recomputed[:3] or cached[4:] != recomputed[4:] or \
-                abs(cached[3] - recomputed[3]) > 1e-9 * max(1.0, abs(recomputed[3])):
-            problems.append(f"cached statistics disagree at {node.canon}")
-        return result
-
-    weight = 1.0
-    for plan in h.plans:
-        stats = recompute(plan)
-        weight *= stats[3]
-        if priors is not None:
-            weight *= priors.get(plan.symbol, 1.0)
-    seen = sorted(ts for ts, _ in stamps)
-    if seen != list(range(1, n_obs + 1)):
-        problems.append(f"timestamps {seen} do not cover 1..{n_obs} exactly once")
-    if obs_syms is not None:
-        for ts, sym in stamps:
-            if 1 <= ts <= len(obs_syms) and obs_syms[ts - 1] != sym:
-                problems.append(f"leaf at @{ts} is {lib.name(sym)}, observed "
-                                f"{lib.name(obs_syms[ts - 1])}")
-    if abs(weight - h.weight) > 1e-9 * max(1.0, abs(weight)):
-        problems.append(f"weight {h.weight!r} != brute-force product {weight!r}")
-    return problems
-
-
-def _slow_closure(pairs, width):
-    closure = set(pairs)
-    changed = True
-    while changed:
-        changed = False
-        for a, b in list(closure):
-            for c, d in list(closure):
-                if b == c and (a, d) not in closure:
-                    closure.add((a, d))
-                    changed = True
-    return closure

@@ -6,6 +6,8 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from planrec.grammar import parse_library
+from planrec.metrics import drive
+from planrec.phatt import HypothesisSet, PhattEngine
 
 RUNNING_EXAMPLE = """
 terminals: a b c
@@ -68,6 +70,19 @@ rule: C -> c | | 1.0
 rule: X -> A B C | (1,3),(2,3) | 1.0
 """,
 }
+
+
+def drive_engine(engine, names):
+    """Feed ``names`` through a PHATT or SLIM ``engine`` with
+    :func:`planrec.metrics.drive`; returns ``(final hypotheses, step rows)``."""
+    if isinstance(engine, PhattEngine):
+        def step(hyps, sym, ts):
+            return engine.step(HypothesisSet(ts - 1, hyps), sym).hypotheses
+        algorithm = "phatt"
+    else:
+        step, algorithm = engine.step, "slim"
+    steps = []
+    return drive(engine.lib, list(names), step, engine.counter, algorithm, steps), steps
 
 
 @pytest.fixture

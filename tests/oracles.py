@@ -4,6 +4,9 @@ Everything here works on plain tuple trees and raw grammar fields only
 (``rule.rhs``, ``rule.constraints``, symbol kinds); none of the engine code
 paths (cached statistics, incremental checks, frontier logic) are reused, so
 agreement between an engine and these oracles is meaningful evidence.
+:func:`verify_hypothesis` reads an engine hypothesis's raw node fields and
+recomputes every cached statistic, the ordering checks and the weight from
+them.
 
 Tuple-tree encoding::
 
@@ -133,6 +136,83 @@ def reachable_symbols(lib):
 
 
 # ---------------------------------------------------------------------------
+# Brute-force verification of engine hypotheses
+# ---------------------------------------------------------------------------
+
+
+def verify_hypothesis(lib, h, n_obs, obs_syms=None, priors=None):
+    """Recompute every invariant of an engine hypothesis from scratch;
+    returns violation messages.
+
+    Checks exact observation coverage, temporal consistency (with a closure
+    recomputed here from the raw constraint pairs), agreement of all cached
+    node statistics with fresh recursion, and the weight product.
+    """
+    problems = []
+    stamps = []  # (ts, symbol)
+    closures = {}
+
+    def closure_of(rule):
+        got = closures.get(rule.idx)
+        if got is None:
+            got = closures[rule.idx] = closure_pairs(rule.constraints)
+        return got
+
+    def recompute(node):
+        # returns (complete, min_ts, max_ts, weight, height, opens, realized)
+        if node.rule is None:
+            if node.ts is None:
+                return (False, None, None, 1.0, 0, 1, 0)
+            stamps.append((node.ts, node.symbol))
+            return (True, node.ts, node.ts, 1.0, 0, 0, 1)
+        stats = [recompute(c) for c in node.children]
+        for i, j in closure_of(node.rule):
+            comp_i, max_i = stats[i][0], stats[i][2]
+            min_j = stats[j][1]
+            if min_j is not None and (not comp_i or max_i >= min_j):
+                problems.append(
+                    f"ordering ({i + 1},{j + 1}) of rule {node.rule.idx} violated at {node.canon}"
+                )
+        mins = [s[1] for s in stats if s[1] is not None]
+        maxs = [s[2] for s in stats if s[2] is not None]
+        weight = node.rule.prob
+        for s in stats:
+            weight *= s[3]
+        result = (
+            all(s[0] for s in stats),
+            min(mins) if mins else None,
+            max(maxs) if maxs else None,
+            weight,
+            1 + max(s[4] for s in stats),
+            sum(s[5] for s in stats),
+            sum(s[6] for s in stats),
+        )
+        cached = (node.complete, node.min_ts, node.max_ts, node.weight,
+                  node.height, node.open_count, node.realized_count)
+        if cached[:3] != result[:3] or cached[4:] != result[4:] or \
+                abs(cached[3] - result[3]) > 1e-9 * max(1.0, abs(result[3])):
+            problems.append(f"cached statistics disagree at {node.canon}")
+        return result
+
+    weight = 1.0
+    for plan in h.plans:
+        weight *= recompute(plan)[3]
+        if priors is not None:
+            weight *= priors.get(plan.symbol, 1.0)
+    seen = sorted(ts for ts, _ in stamps)
+    if seen != list(range(1, n_obs + 1)):
+        problems.append(f"timestamps {seen} do not cover 1..{n_obs} exactly once")
+    if obs_syms is not None:
+        for ts, sym in stamps:
+            if 1 <= ts <= len(obs_syms) and obs_syms[ts - 1] != sym:
+                problems.append(f"leaf at @{ts} is {lib.name(sym)}, observed "
+                                f"{lib.name(obs_syms[ts - 1])}")
+    if abs(weight - h.weight) > 1e-9 * max(1.0, abs(weight)):
+        problems.append(f"weight {h.weight!r} != brute-force product {weight!r}")
+    return problems
+
+
+# ---------------------------------------------------------------------------
 # Exhaustive goal-rooted enumeration (generate-and-filter)
 # ---------------------------------------------------------------------------
 
@@ -223,11 +303,11 @@ def _substitutions(tree, match, make):
                 yield ("exp", tree[1], tree[2], children)
 
 
-def oracle_fragments(lib, obs_sym, ts, prune=True):
-    reach = reachable_symbols(lib) if prune else None
+def oracle_fragments(lib, obs_sym, ts):
+    reach = reachable_symbols(lib)
     frags = []
     for rule in lib.rules:
-        if prune and rule.lhs not in reach:
+        if rule.lhs not in reach:
             continue
         closed = closure_pairs(rule.constraints)
         for pos, s in enumerate(rule.rhs):
@@ -243,7 +323,7 @@ def oracle_fragments(lib, obs_sym, ts, prune=True):
     return frags
 
 
-def slim_oracle_step(lib, hypotheses, obs_sym, ts, prune=True):
+def slim_oracle_step(lib, hypotheses, obs_sym, ts):
     """One naive bottom-up step over frozensets of tuple trees."""
     out = set()
 
@@ -251,7 +331,7 @@ def slim_oracle_step(lib, hypotheses, obs_sym, ts, prune=True):
         if all(consistent(lib, p) for p in hyp):
             out.add(frozenset(hyp))
 
-    frags = oracle_fragments(lib, obs_sym, ts, prune)
+    frags = oracle_fragments(lib, obs_sym, ts)
     for hyp in hypotheses:
         for p in hyp:
             # directly: realize one open terminal leaf labeled obs
@@ -274,7 +354,7 @@ def slim_oracle_step(lib, hypotheses, obs_sym, ts, prune=True):
                 # as sibling: new common parent hosting p and f
                 p_sym = p[1]
                 for rule in lib.rules:
-                    if prune and rule.lhs not in reachable_symbols(lib):
+                    if rule.lhs not in reachable_symbols(lib):
                         continue
                     for i, si in enumerate(rule.rhs):
                         for j, sj in enumerate(rule.rhs):
@@ -290,11 +370,11 @@ def slim_oracle_step(lib, hypotheses, obs_sym, ts, prune=True):
     return out
 
 
-def slim_oracle_run(lib, obs_names, prune=True):
+def slim_oracle_run(lib, obs_names):
     """Whole-sequence naive bottom-up; returns the set of canonical forms."""
     hyps = {frozenset()}
     for ts, name in enumerate(obs_names, start=1):
-        hyps = slim_oracle_step(lib, hyps, lib.sym(name), ts, prune)
+        hyps = slim_oracle_step(lib, hyps, lib.sym(name), ts)
         if not hyps:
             return set()
     return {forest_canon(lib, list(h)) for h in hyps}

@@ -27,13 +27,13 @@ import pytest
 
 from planrec.domains import DomainParams, generate_domain, library_stats, simulate_agent
 from planrec.grammar import parse_library, serialize_library
-from planrec.phatt import PhattConfig, RecognitionFailure, phatt_recognize
+from planrec.phatt import PhattConfig, PhattEngine, RecognitionFailure
 from planrec.runner import CSV_COLUMNS, run_benchmark
-from planrec.slim import SlimEngine, TopDownConfig, slim_recognize
-from planrec.trees import EMPTY_HYPOTHESIS, verify_hypothesis
+from planrec.slim import SlimEngine, TopDownConfig
+from planrec.trees import EMPTY_HYPOTHESIS
 
-from conftest import SUITE
-from oracles import all_agent_prefixes, slim_oracle_run
+from conftest import SUITE, drive_engine
+from oracles import all_agent_prefixes, slim_oracle_run, verify_hypothesis
 
 BENCH_A = DomainParams(num_goals=5, and_branch=3, or_branch=2, depth=3,
                        num_terminals=100, ordered_fraction=0.3, seed=11)
@@ -160,11 +160,12 @@ def test_criterion_2_completeness_equivalence():
         for names in all_agent_prefixes(lib, 4):
             sequences += 1
             try:
-                hset, _ = phatt_recognize(lib, list(names), phatt_cfg)
-                ranked = sorted(hset.hypotheses, key=lambda h: (-h.weight, h.canon))
+                hyps, _ = drive_engine(PhattEngine(lib, phatt_cfg), names)
+                ranked = sorted(hyps, key=lambda h: (-h.weight, h.canon))
             except RecognitionFailure:
                 ranked = []
-            _, goal_rooted, _ = slim_recognize(lib, list(names), cfg)
+            engine = SlimEngine(lib, cfg)
+            goal_rooted, _ = engine.compile_top_down(drive_engine(engine, names)[0])
             assert [h.canon for h in goal_rooted] == [h.canon for h in ranked], \
                 (name, names)
             for ours, theirs in zip(goal_rooted, ranked):
@@ -288,7 +289,9 @@ def test_criterion_7_invariant_suite(lib, bench_a, bench_b):
         suite_lib = parse_library(SUITE[name])
         cfg = TopDownConfig.for_library(suite_lib, k=None)
         for names in all_agent_prefixes(suite_lib, 4):
-            locals_, goal_rooted, _ = slim_recognize(suite_lib, list(names), cfg)
+            engine = SlimEngine(suite_lib, cfg)
+            locals_, _ = drive_engine(engine, names)
+            goal_rooted, _ = engine.compile_top_down(locals_)
             seq = [suite_lib.sym(n) for n in names]
             for h in locals_:
                 checked += 1

@@ -10,13 +10,17 @@ from planrec.phatt import (
     PhattEngine,
     RecognitionFailure,
     default_max_depth,
-    hypothesis_probability,
-    leftmost_trees,
-    phatt_recognize,
 )
-from planrec.trees import Hypothesis, parse_hypothesis, parse_plan, verify_hypothesis
+from planrec.trees import Hypothesis, parse_hypothesis, parse_plan
 
-from oracles import all_agent_prefixes, enumerate_goal_hypotheses
+from conftest import drive_engine
+from oracles import (
+    all_agent_prefixes,
+    enumerate_goal_hypotheses,
+    from_plan_node,
+    tree_weight,
+    verify_hypothesis,
+)
 from test_acceptance import BENCH_A
 
 
@@ -32,13 +36,26 @@ def canons(hset):
     return {h.canon for h in hset.hypotheses}
 
 
+def trees_from(lib, root, target, max_depth):
+    return PhattEngine(lib, PhattConfig.for_library(lib, max_depth)).trees_from(root, target)
+
+
+def hypothesis_probability(h, lib, cfg):
+    """The oracle's rule-probability product of every plan, times the goal
+    prior of every goal-rooted plan (fresh traversal, no caches)."""
+    total = 1.0
+    for plan in h.plans:
+        total *= tree_weight(lib, from_plan_node(plan)) * cfg.goal_prior.get(plan.symbol, 1.0)
+    return total
+
+
 # ---------------------------------------------------------------------------
 # Leftmost trees
 # ---------------------------------------------------------------------------
 
 
 def test_leftmost_trees_for_first_observation(lib):
-    trees = leftmost_trees(lib, lib.sym("a"), {lib.sym("X")}, 3)
+    trees = trees_from(lib, lib.sym("X"), lib.sym("a"), 3)
     assert len(trees) == 1
     assert trees[0].root.canon == "X(A(a?) B? C?)"
     assert trees[0].path == (0, 0)
@@ -46,18 +63,18 @@ def test_leftmost_trees_for_first_observation(lib):
 
 def test_leftmost_trees_blocked_position(lib):
     # (1,2) makes B's branch wait on A, so nothing derives b from X leftmost
-    assert leftmost_trees(lib, lib.sym("b"), {lib.sym("X")}, 3) == ()
+    assert trees_from(lib, lib.sym("X"), lib.sym("b"), 3) == ()
 
 
 def test_leftmost_trees_underivable_target(lib):
     iso = parse_library(
         "terminals: a z\nnonterminals: X\ngoals: X\nrule: X -> a | | 1.0"
     )
-    assert leftmost_trees(iso, iso.sym("z"), {iso.sym("X")}, 4) == ()
+    assert trees_from(iso, iso.sym("X"), iso.sym("z"), 4) == ()
 
 
 def test_leftmost_trees_depth_zero_case(lib):
-    trees = leftmost_trees(lib, lib.sym("B"), {lib.sym("B")}, 3)
+    trees = trees_from(lib, lib.sym("B"), lib.sym("B"), 3)
     assert any(t.path == () for t in trees)
 
 
@@ -66,8 +83,8 @@ def test_leftmost_trees_respect_depth_bound():
         "terminals: a\nnonterminals: R\ngoals: R\n"
         "rule: R -> a | | 0.5\nrule: R -> a R | | 0.5"
     )
-    shallow = leftmost_trees(lib, lib.sym("a"), {lib.sym("R")}, 1)
-    deeper = leftmost_trees(lib, lib.sym("a"), {lib.sym("R")}, 3)
+    shallow = trees_from(lib, lib.sym("R"), lib.sym("a"), 1)
+    deeper = trees_from(lib, lib.sym("R"), lib.sym("a"), 3)
     assert {t.path for t in shallow} == {(0,)}
     assert len(deeper) > len(shallow)
     assert all(len(t.path) <= 3 for t in deeper)
@@ -256,17 +273,17 @@ def test_step_counts_every_attempt(lib, case, attempts, kept):
         lib = generate_domain(BENCH_A)
         names = simulate_agent(lib, 1000)
     counter = CombinationCounter()
-    hset, _ = phatt_recognize(lib, names, counter=counter)
-    assert (counter.n, len(hset.hypotheses)) == (attempts, kept)
+    hyps, _ = drive_engine(PhattEngine(lib, counter=counter), names)
+    assert (counter.n, len(hyps)) == (attempts, kept)
 
 
 def test_recognize_returns_metrics(lib):
-    hset, steps = phatt_recognize(lib, ["a", "c", "b"])
+    hyps, steps = drive_engine(PhattEngine(lib), ["a", "c", "b"])
     assert [s.step for s in steps] == [1, 2, 3]
-    assert steps[-1].hypotheses == len(hset.hypotheses)
+    assert steps[-1].hypotheses == len(hyps)
     # frontier metric equals a brute-force recount over the final set
     assert steps[-1].frontier == sum(
         sum(1 for node in p.walk() if node.is_open)
-        for h in hset.hypotheses
+        for h in hyps
         for p in h.plans
     )

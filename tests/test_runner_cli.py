@@ -12,9 +12,9 @@ from planrec.runner import (
     run_benchmark,
     run_recognition,
 )
-from planrec.slim import slim_recognize, TopDownConfig
+from planrec.slim import SlimEngine, TopDownConfig
 
-from conftest import RUNNING_EXAMPLE
+from conftest import RUNNING_EXAMPLE, drive_engine
 
 
 @pytest.fixture
@@ -113,7 +113,7 @@ def test_run_recognition_failure_csv_keeps_earlier_steps(workspace, tmp_path):
 
 def test_emit_hypotheses_format(workspace, lib):
     tmp, lib_path, obs_dir = workspace
-    locals_, _, _ = slim_recognize(lib, ["a", "c", "b"], TopDownConfig.for_library(lib, k=0))
+    locals_, _ = drive_engine(SlimEngine(lib, TopDownConfig.for_library(lib, k=0)), ["a", "c", "b"])
     out = tmp / "dump.txt"
     emit_hypotheses(locals_, out)
     lines = out.read_text().splitlines()
@@ -242,6 +242,19 @@ def test_cli_recognize_ok(workspace, capsys):
     assert "4 hypotheses" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("algorithm, k", [("phatt", "0"), ("slim", "0"), ("slim", "100"),
+                                          ("slim", "all")])
+def test_cli_recognize_empty_observations(workspace, tmp_path, capsys, algorithm, k):
+    tmp, lib_path, obs_dir = workspace
+    empty = tmp_path / "empty.txt"
+    empty.write_text("")
+    code = main(["recognize", "--library", str(lib_path), "--observations", str(empty),
+                 "--algorithm", algorithm, "--k", k])
+    assert code == 0
+    # the empty hypothesis explains nothing, so no goal is recognized
+    assert "1 hypotheses (0 goal-rooted) after 0 observations" in capsys.readouterr().out
+
+
 def test_cli_recognize_failure_exit_code(workspace, tmp_path, capsys):
     tmp, lib_path, obs_dir = workspace
     bad = tmp_path / "bad.txt"
@@ -340,6 +353,7 @@ def test_cli_recognize_rejects_bad_values_without_traceback(workspace, capsys, f
 
 @pytest.mark.parametrize("flags", [
     ["--k-list", "0,abc"], ["--k-list", "100,-1"], ["--max-depth", "-1"],
+    ["--algorithms", "foo"], ["--algorithms", "phatt,foo"],
 ])
 def test_cli_bench_rejects_bad_values_without_traceback(workspace, capsys, flags):
     tmp, lib_path, obs_dir = workspace

@@ -4,7 +4,8 @@ from hypothesis import given, settings, strategies as st
 from planrec.domains import generate_domain, simulate_agent
 from planrec.grammar import parse_library
 from planrec.metrics import CombinationCounter, drive
-from planrec.phatt import PhattConfig, PhattEngine, RecognitionFailure, phatt_recognize
+from planrec.phatt import PhattConfig, PhattEngine, RecognitionFailure
+from planrec.runner import _run
 from planrec.slim import (
     SlimEngine,
     TopDownConfig,
@@ -15,7 +16,6 @@ from planrec.slim import (
     create_fragments,
     k_best,
     sibling_slots,
-    slim_recognize,
 )
 from planrec.trees import (
     EMPTY_HYPOTHESIS,
@@ -24,15 +24,15 @@ from planrec.trees import (
     parse_hypothesis,
     parse_plan,
     try_expand,
-    verify_hypothesis,
 )
 
-from oracles import all_agent_prefixes, slim_oracle_run
+from conftest import drive_engine
+from oracles import all_agent_prefixes, reachable_symbols, slim_oracle_run, verify_hypothesis
 from test_acceptance import BENCH_A, BENCH_B
 
 
-def bottom_up(lib, names, prune=True):
-    engine = SlimEngine(lib, prune=prune)
+def bottom_up(lib, names):
+    engine = SlimEngine(lib)
     hyps = (EMPTY_HYPOTHESIS,)
     for ts, name in enumerate(names, start=1):
         hyps = engine.step(hyps, lib.sym(name), ts)
@@ -50,14 +50,17 @@ def canons(hyps):
 
 def test_terminal_fragment_for_first_action(lib):
     frags = create_fragments(lib, lib.sym("a"), 1)
-    assert [f.root.canon for f in frags] == ["A(a@1)"]
-    assert frags[0].attach_pos == 0 and frags[0].created_ts == 1
+    assert [f.canon for f in frags] == ["A(a@1)"]
+    # a depth-1 node of rule A -> a, attached at position 0, created at step 1
+    assert frags[0].rule is lib.rules_for(lib.sym("A"))[0] and frags[0].height == 1
+    assert [i for i, c in enumerate(frags[0].children) if c.ts is not None] == [0]
+    assert frags[0].min_ts == 1
 
 
 def test_terminal_fragment_exists_for_b(lib):
     # B -> b places b at an unconstrained position, so the fragment exists
     frags = create_fragments(lib, lib.sym("b"), 5)
-    assert [f.root.canon for f in frags] == ["B(b@5)"]
+    assert [f.canon for f in frags] == ["B(b@5)"]
 
 
 def test_no_fragment_at_position_with_predecessor():
@@ -70,15 +73,6 @@ def test_no_fragment_at_position_with_predecessor():
     assert create_fragments(lib, lib.sym("t"), 1) == ()
 
 
-def test_generalized_fragment_keeps_attachment_open(lib):
-    frags = create_fragments(lib, lib.sym("A"), 2)
-    assert [(f.root.canon, f.attach_pos) for f in frags] == [("X(A? B? C?)", 0)]
-    # generalized creation ignores ordering predecessors: the attachment
-    # carries no realized content yet
-    frags_b = create_fragments(lib, lib.sym("B"), 2)
-    assert [(f.root.canon, f.attach_pos) for f in frags_b] == [("X(A? B? C?)", 1)]
-
-
 def test_fragment_pruning_drops_unreachable_rules():
     lib = parse_library(
         "terminals: a\nnonterminals: X Z\ngoals: X\n"
@@ -86,8 +80,6 @@ def test_fragment_pruning_drops_unreachable_rules():
     )
     pruned = create_fragments(lib, lib.sym("a"), 1)
     assert [f.rule.lhs for f in pruned] == [lib.sym("X")]
-    unpruned = create_fragments(lib, lib.sym("a"), 1, prune=False)
-    assert {lib.name(f.rule.lhs) for f in unpruned} == {"X", "Z"}
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +135,7 @@ def test_combine_as_child_symbol_mismatch(lib):
 def test_combine_as_sibling_fig_example(lib):
     h = parse_hypothesis(lib, "A(a@1)")
     (frag,) = create_fragments(lib, lib.sym("c"), 2)
-    out = combine_as_sibling(lib, h, frag, sibling_slots(lib, frag.root.symbol))
+    out = combine_as_sibling(lib, h, frag, sibling_slots(lib, frag.symbol))
     assert canons(out) == {"X(A(a@1) B? C(c@2))"}
 
 
@@ -151,49 +143,59 @@ def test_combine_as_sibling_rejects_ordering_violation(lib):
     h = parse_hypothesis(lib, "C(c@1)")
     (frag,) = create_fragments(lib, lib.sym("b"), 2)
     # candidate X(A? B(b@2) C(c@1)) breaks (A before B)
-    assert combine_as_sibling(lib, h, frag, sibling_slots(lib, frag.root.symbol)) == []
+    assert combine_as_sibling(lib, h, frag, sibling_slots(lib, frag.symbol)) == []
 
 
 def test_combine_as_sibling_valid_pair(lib):
     h = parse_hypothesis(lib, "A(a@1)")
     (frag,) = create_fragments(lib, lib.sym("b"), 2)
-    out = combine_as_sibling(lib, h, frag, sibling_slots(lib, frag.root.symbol))
+    out = combine_as_sibling(lib, h, frag, sibling_slots(lib, frag.symbol))
     assert canons(out) == {"X(A(a@1) B(b@2) C?)"}
 
 
-def sibling_reference(lib, h, f, ts, prune, counter):
+def generalized_fragments(lib, sym):
+    """``(rule, attachment position)`` of every generalized fragment for the
+    nonterminal ``sym``: each occurrence in a rule whose head some goal
+    reaches. The attachment stays open, so no ordering predecessor rules an
+    occurrence out before fusion."""
+    reach = reachable_symbols(lib)
+    return [(rule, j) for rule in lib.rules if rule.lhs in reach
+            for j, s in enumerate(rule.rhs) if s == sym]
+
+
+def sibling_reference(lib, h, f, counter):
     """The sibling loop over generalized fragments that the slot table replaces."""
     out = []
     for pi, p in enumerate(h.plans):
-        for g in create_fragments(lib, f.root.symbol, ts, prune):
-            rhs, j = g.rule.rhs, g.attach_pos
+        for rule, j in generalized_fragments(lib, f.symbol):
+            rhs = rule.rhs
             for i in range(len(rhs)):
                 if i == j or rhs[i] != p.symbol:
                     continue
                 counter.n += 1
                 children = tuple(
-                    p if c == i else (f.root if c == j else open_node(lib, s))
+                    p if c == i else (f if c == j else open_node(lib, s))
                     for c, s in enumerate(rhs)
                 )
-                parent = try_expand(lib, g.rule, children)
+                parent = try_expand(lib, rule, children)
                 if parent is not None:
                     out.append(h.with_replaced(pi, parent))
     return out
 
 
-def assert_sibling_slots_match_reference(lib, sequences, prune):
+def assert_sibling_slots_match_reference(lib, sequences):
     checked = 0
     for names in sequences:
         hyps = (EMPTY_HYPOTHESIS,)
-        engine = SlimEngine(lib, prune=prune)
+        engine = SlimEngine(lib)
         for ts, name in enumerate(names, start=1):
             obs = lib.sym(name)
-            for f in create_fragments(lib, obs, ts, prune):
+            for f in create_fragments(lib, obs, ts):
                 for h in hyps:
                     got_n, want_n = CombinationCounter(), CombinationCounter()
-                    slots = sibling_slots(lib, f.root.symbol, prune)
+                    slots = sibling_slots(lib, f.symbol)
                     got = combine_as_sibling(lib, h, f, slots, got_n)
-                    want = sibling_reference(lib, h, f, ts, prune, want_n)
+                    want = sibling_reference(lib, h, f, want_n)
                     assert [(c.canon, c.weight) for c in got] == \
                         [(c.canon, c.weight) for c in want], (names, ts, h.canon)
                     assert got_n.n == want_n.n
@@ -202,34 +204,32 @@ def assert_sibling_slots_match_reference(lib, sequences, prune):
     return checked
 
 
-def assert_slot_table_matches_fragments(lib, prune):
+def assert_slot_table_matches_fragments(lib):
     slots_seen = 0
     for sym in lib.nonterminals:
-        fragments = create_fragments(lib, sym, 1, prune)
-        slots = sibling_slots(lib, sym, prune)
+        fragments = generalized_fragments(lib, sym)
+        slots = sibling_slots(lib, sym)
         for psym in range(len(lib.symbols)):
-            want = [(g.rule, i, g.attach_pos) for g in fragments
-                    for i, s in enumerate(g.rule.rhs) if i != g.attach_pos and s == psym]
+            want = [(rule, i, j) for rule, j in fragments
+                    for i, s in enumerate(rule.rhs) if i != j and s == psym]
             assert [slot[:3] for slot in slots.get(psym, ())] == want
             slots_seen += len(want)
     return slots_seen
 
 
-@pytest.mark.parametrize("prune", [True, False])
-def test_sibling_slots_reproduce_fragment_loop_suite(suite_lib, prune):
-    assert_slot_table_matches_fragments(suite_lib, prune)
-    assert_sibling_slots_match_reference(suite_lib, all_agent_prefixes(suite_lib, 4), prune)
+def test_sibling_slots_reproduce_fragment_loop_suite(suite_lib):
+    assert_slot_table_matches_fragments(suite_lib)
+    assert_sibling_slots_match_reference(suite_lib, all_agent_prefixes(suite_lib, 4))
 
 
-@pytest.mark.parametrize("prune", [True, False])
 @pytest.mark.parametrize("params, seeds", [(BENCH_A, (1000, 1001, 1002)),
                                            (BENCH_B, (2001, 2021, 2055))],
                          ids=["benchmark-a", "benchmark-b"])
-def test_sibling_slots_reproduce_fragment_loop_generated(params, seeds, prune):
+def test_sibling_slots_reproduce_fragment_loop_generated(params, seeds):
     lib = generate_domain(params)
-    assert assert_slot_table_matches_fragments(lib, prune) > 0
+    assert assert_slot_table_matches_fragments(lib) > 0
     sequences = [simulate_agent(lib, seed)[:4] for seed in seeds]
-    attempts = assert_sibling_slots_match_reference(lib, sequences, prune)
+    attempts = assert_sibling_slots_match_reference(lib, sequences)
     assert attempts > 0 or params is BENCH_A  # A's prefixes make no sibling attempt
 
 
@@ -298,12 +298,12 @@ def test_fragment_timestamp_law(lib):
     # after a sibling fusion the plan's min timestamp is the min of parts
     h = parse_hypothesis(lib, "A(a@1)")
     (frag,) = create_fragments(lib, lib.sym("c"), 2)
-    (out,) = combine_as_sibling(lib, h, frag, sibling_slots(lib, frag.root.symbol))
+    (out,) = combine_as_sibling(lib, h, frag, sibling_slots(lib, frag.symbol))
     assert out.plans[0].min_ts == 1
     h_rev = parse_hypothesis(lib, "C(c@1)")
     (frag_a,) = create_fragments(lib, lib.sym("a"), 2)
     (out_rev,) = combine_as_sibling(lib, h_rev, frag_a,
-                                    sibling_slots(lib, frag_a.root.symbol))
+                                    sibling_slots(lib, frag_a.symbol))
     assert out_rev.plans[0].min_ts == 1
 
 
@@ -367,7 +367,7 @@ def test_recognition_leaves_the_library_unchanged():
     names = simulate_agent(lib, 1000)
     before = dict(vars(lib))
     sizes = {key: len(value) for key, value in before.items() if hasattr(value, "__len__")}
-    phatt_recognize(lib, names)
+    drive_engine(PhattEngine(lib), names)
     engine = SlimEngine(lib, cfg_all(lib))
     local = drive(lib, names, engine.step, engine.counter, "slim", [])
     assert engine.compile_top_down(local)[0]
@@ -421,8 +421,8 @@ def test_top_down_union_equals_phatt(lib):
     union = set()
     for local in locals_:
         union |= canons(top_down(lib, local))
-    hset, _ = phatt_recognize(lib, ["a", "c"])
-    assert union == {h.canon for h in hset.hypotheses}
+    hyps, _ = drive_engine(PhattEngine(lib), ["a", "c"])
+    assert union == canons(hyps)
 
 
 def test_top_down_dead_local():
@@ -448,8 +448,9 @@ def test_top_down_dedup_drops_duplicates(lib):
 
 
 def test_slim_recognize_worked_example(lib):
-    locals_, goal_rooted, steps = slim_recognize(lib, ["a", "c", "b"],
-                                                 TopDownConfig.for_library(lib, k=0))
+    engine = SlimEngine(lib, TopDownConfig.for_library(lib, k=0))
+    locals_, steps = drive_engine(engine, ["a", "c", "b"])
+    goal_rooted, _ = engine.compile_top_down(locals_)
     assert len(locals_) == 4
     assert goal_rooted == []
     assert [s.step for s in steps] == [1, 2, 3]
@@ -457,15 +458,23 @@ def test_slim_recognize_worked_example(lib):
 
 
 def test_slim_recognize_all_matches_phatt(lib):
-    locals_, goal_rooted, _ = slim_recognize(lib, ["a", "c", "b"], cfg_all(lib))
-    hset, _ = phatt_recognize(lib, ["a", "c", "b"])
-    assert canons(goal_rooted) == {h.canon for h in hset.hypotheses}
+    engine = SlimEngine(lib, cfg_all(lib))
+    goal_rooted, _ = engine.compile_top_down(drive_engine(engine, ["a", "c", "b"])[0])
+    hyps, _ = drive_engine(PhattEngine(lib), ["a", "c", "b"])
+    assert canons(goal_rooted) == canons(hyps)
 
 
-def test_slim_recognize_empty_sequence(lib):
-    locals_, goal_rooted, steps = slim_recognize(lib, [], cfg_all(lib))
-    assert locals_ == (EMPTY_HYPOTHESIS,)
-    assert goal_rooted == [] and steps == []
+def test_slim_recognize_empty_sequence(lib, tmp_path):
+    emitted = tmp_path / "hyps.txt"
+    records, failure = _run(lib, [], "slim", [0, 100, None], None, "empty",
+                            emit_path=emitted)
+    assert failure is None
+    assert [r.algorithm for r in records] == ["slim-0", "slim-100", "slim-all"]
+    # the one local is the empty hypothesis, and it explains no goal
+    assert [(r.final_hypotheses, r.goal_rooted, r.steps) for r in records] == [(1, 0, ())] * 3
+    assert emitted.read_text() == f"{EMPTY_HYPOTHESIS.weight!r}\t\n"
+    (phatt,), failure = _run(lib, [], "phatt", [0], None, "empty")
+    assert failure is None and (phatt.final_hypotheses, phatt.goal_rooted) == (1, 0)
 
 
 def test_batched_compile_equals_sequential(lib):
@@ -492,13 +501,13 @@ def test_completeness_suite(suite_lib):
     cfg = cfg_all(lib)
     phatt_cfg = PhattConfig.for_library(lib)
     for names in all_agent_prefixes(lib, 4):
-        engine = PhattEngine(lib, phatt_cfg)
         try:
-            hset, _ = phatt_recognize(lib, list(names), phatt_cfg)
-            phatt_ranked = sorted(hset.hypotheses, key=lambda h: (-h.weight, h.canon))
+            hyps, _ = drive_engine(PhattEngine(lib, phatt_cfg), names)
+            phatt_ranked = sorted(hyps, key=lambda h: (-h.weight, h.canon))
         except RecognitionFailure:
             phatt_ranked = []
-        locals_, goal_rooted, _ = slim_recognize(lib, list(names), cfg)
+        engine = SlimEngine(lib, cfg)
+        goal_rooted, _ = engine.compile_top_down(drive_engine(engine, names)[0])
         assert [h.canon for h in goal_rooted] == [h.canon for h in phatt_ranked], names
         for ours, theirs in zip(goal_rooted, phatt_ranked):
             assert ours.weight == pytest.approx(theirs.weight)
