@@ -82,6 +82,22 @@ def test_fragment_pruning_drops_unreachable_rules():
     assert [f.rule.lhs for f in pruned] == [lib.sym("X")]
 
 
+def test_generalized_fragment_keeps_attachment_open(lib):
+    # a plan rooted at a nonterminal joins a sibling through the host rule's
+    # all-open children: the attachment carries no realized content yet
+    def slots(name):
+        return {lib.name(s): [(lib.name(rule.lhs), i, j, [o.canon for o in opens])
+                              for rule, i, j, opens in v]
+                for s, v in sibling_slots(lib, lib.sym(name)).items()}
+
+    assert slots("A") == {"B": [("X", 1, 0, ["A?", "B?", "C?"])],
+                          "C": [("X", 2, 0, ["A?", "B?", "C?"])]}
+    # the slots ignore ordering predecessors: B sits behind A in X -> A B C,
+    # yet its occurrence is a host
+    assert slots("B") == {"A": [("X", 0, 1, ["A?", "B?", "C?"])],
+                          "C": [("X", 2, 1, ["A?", "B?", "C?"])]}
+
+
 # ---------------------------------------------------------------------------
 # The four combinators
 # ---------------------------------------------------------------------------
