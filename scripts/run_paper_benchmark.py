@@ -21,7 +21,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from planrec.cli import k_list
+from planrec.cli import algorithm_list, k_list
 from planrec.domains import DomainParams, generate_domain, library_stats, simulate_agent
 from planrec.grammar import serialize_library
 from planrec.runner import format_summary, run_benchmark
@@ -38,7 +38,8 @@ def main() -> int:
     ap.add_argument("--domain-seed", type=int, default=11)
     ap.add_argument("--instances", default=None,
                     help="comma-separated simulation seeds (default 1000..1019)")
-    ap.add_argument("--algorithms", default="phatt,slim")
+    ap.add_argument("--algorithms", type=algorithm_list, default="phatt,slim",
+                    help="comma-separated: phatt,slim")
     ap.add_argument("--k-list", type=k_list, default="0",
                     help="comma-separated top-down budgets for slim, e.g. 0,100,all")
     ap.add_argument("--out-dir", required=True)
@@ -66,8 +67,7 @@ def main() -> int:
         seq = simulate_agent(lib, seed)
         (obs_dir / f"inst_{seed}.txt").write_text(" ".join(seq) + "\n")
 
-    algorithms = [a.strip() for a in args.algorithms.split(",")]
-    summary = run_benchmark(lib_path, obs_dir, algorithms, args.k_list,
+    summary = run_benchmark(lib_path, obs_dir, args.algorithms, args.k_list,
                             csv_path=out / "metrics.csv")
     print(format_summary(summary))
     print(f"metrics written to {out / 'metrics.csv'}")

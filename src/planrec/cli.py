@@ -1,8 +1,9 @@
 """Command-line front end: recognize, generate, simulate, bench.
 
-Exit codes: 0 success, 2 recognition failure or a command-line usage error
-(argparse's own code), 3 library parse error, 4 I/O error, 5 an observation
-that is unknown or not a terminal.
+Exit codes: 0 success, 2 a command-line usage error (argparse's own code,
+also for ``generate`` parameters that :class:`DomainParams` rejects), 3
+library parse error, 4 I/O error, 5 an observation that is unknown or not a
+terminal, 6 recognition failure.
 """
 
 from __future__ import annotations
@@ -83,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="sample agent observation sequences")
     sim.add_argument("--library", required=True)
     sim.add_argument("--seed", type=int, default=0)
-    sim.add_argument("--count", type=int, default=1)
+    sim.add_argument("--count", type=positive_int, default=1)
     sim.add_argument("--out", required=True, help="output directory")
 
     bench = sub.add_parser("bench", help="run a benchmark over an observation directory")
@@ -100,9 +101,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
-        return _dispatch(args)
+        return _dispatch(args, parser)
     except RecognitionFailure as failure:
         print(f"recognition failed at observation {failure.step} ({failure.obs!r})",
               file=sys.stderr)
@@ -118,7 +120,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_IO
 
 
-def _dispatch(args) -> int:
+def _dispatch(args, parser: argparse.ArgumentParser) -> int:
     if args.command == "recognize":
         record = run_recognition(
             args.library, args.observations, args.algorithm, k=args.k,
@@ -130,12 +132,15 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if args.command == "generate":
-        params = DomainParams(
-            num_goals=args.goals, and_branch=args.and_branch, or_branch=args.or_branch,
-            depth=args.depth, num_terminals=args.terminals,
-            ordered_fraction=args.ordered_fraction, seed=args.seed,
-            share_subtrees=args.share_subtrees,
-        )
+        try:
+            params = DomainParams(
+                num_goals=args.goals, and_branch=args.and_branch, or_branch=args.or_branch,
+                depth=args.depth, num_terminals=args.terminals,
+                ordered_fraction=args.ordered_fraction, seed=args.seed,
+                share_subtrees=args.share_subtrees,
+            )
+        except ValueError as err:
+            parser.error(f"generate: {err}")
         lib = generate_domain(params)
         Path(args.out).write_text(serialize_library(lib), encoding="utf-8")
         stats = library_stats(lib)

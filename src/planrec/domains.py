@@ -157,15 +157,15 @@ def _sample_tree(lib: PlanLibrary, sym: int, rng: random.Random, budget: int,
 def _leaves(tree: _SimNode) -> list[tuple[int, int]]:
     out: list[tuple[int, int]] = []
 
-    def walk(node: _SimNode):
+    def collect(node: _SimNode):
         if node.rule is None:
             (leaf_id,) = node.leaf_ids
             out.append((node.sym, leaf_id))
             return
         for child in node.children:
-            walk(child)
+            collect(child)
 
-    walk(tree)
+    collect(tree)
     return out
 
 
@@ -174,7 +174,7 @@ def _leaf_enabled(tree: _SimNode, leaf: tuple[int, int], emitted: set[int]) -> b
     position ordered before the leaf's branch is fully emitted."""
     leaf_id = leaf[1]
 
-    def walk(node: _SimNode) -> bool:
+    def enabled(node: _SimNode) -> bool:
         if node.rule is None:
             return True
         for j, child in enumerate(node.children):
@@ -182,10 +182,10 @@ def _leaf_enabled(tree: _SimNode, leaf: tuple[int, int], emitted: set[int]) -> b
                 for i in node.rule.preds[j]:
                     if not node.children[i].leaf_ids <= emitted:
                         return False
-                return walk(child)
+                return enabled(child)
         raise AssertionError("leaf not under node")
 
-    return walk(tree)
+    return enabled(tree)
 
 
 def library_stats(lib: PlanLibrary) -> DomainStats:

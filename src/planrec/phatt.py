@@ -16,7 +16,7 @@ local hypothesis through the same method.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .grammar import PROB_TOL, ObservationError, PlanLibrary
 from .metrics import CombinationCounter
@@ -56,7 +56,7 @@ class PhattConfig:
     """Engine bounds: leftmost-tree depth cap and goal priors."""
 
     max_depth: int
-    goal_prior: Mapping[int, float]
+    goal_prior: dict[int, float]
 
     def __post_init__(self):
         if self.max_depth < 1:
@@ -66,11 +66,9 @@ class PhattConfig:
             raise ValueError(f"goal priors sum to {total!r}, expected 1")
 
     @classmethod
-    def for_library(cls, lib: PlanLibrary, max_depth: int | None = None,
-                    goal_prior: Mapping[int, float] | None = None) -> "PhattConfig":
-        """Defaults: :func:`default_max_depth` and uniform goal priors."""
-        if goal_prior is None:
-            goal_prior = {g: 1.0 / len(lib.goals) for g in lib.goals}
+    def for_library(cls, lib: PlanLibrary, max_depth: int | None = None) -> "PhattConfig":
+        """Uniform goal priors; ``max_depth`` defaults to :func:`default_max_depth`."""
+        goal_prior = {g: 1.0 / len(lib.goals) for g in lib.goals}
         return cls(default_max_depth(lib) if max_depth is None else max_depth, goal_prior)
 
 

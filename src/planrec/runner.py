@@ -24,10 +24,10 @@ from .slim import SlimEngine, TopDownConfig, k_best
 from .trees import Hypothesis
 
 EXIT_OK = 0
-EXIT_RECOGNITION = 2
 EXIT_PARSE = 3
 EXIT_IO = 4
 EXIT_OBSERVATION = 5
+EXIT_RECOGNITION = 6
 
 CSV_COLUMNS = (
     "instance", "algorithm", "step", "hypotheses", "combinations",

@@ -9,14 +9,17 @@ fragment as a standalone plan. Local hypotheses never grow paths toward the
 goals; on demand, the top-down compiler replays their plans (in creation
 order) through :meth:`PhattEngine.advance`, the modified-PHATT step that
 PHATT runs with a realized leaf as the target and the compiler runs with
-each plan, grafted into goal-rooted leftmost trees.
+each plan, grafted into goal-rooted leftmost trees. A local's plans stay in
+creation order, ascending smallest timestamp, unsorted: a standalone fragment
+is appended holding the newest observation, and the other three combinations
+keep the smallest timestamp of the plan they replace.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .grammar import ObservationError, PlanLibrary, Rule
 from .metrics import CombinationCounter
@@ -48,9 +51,9 @@ class TopDownConfig(PhattConfig):
 
     @classmethod
     def for_library(cls, lib: PlanLibrary, k: int | None = 0,
-                    max_depth: int | None = None,
-                    goal_prior: Mapping[int, float] | None = None) -> "TopDownConfig":
-        return replace(super().for_library(lib, max_depth, goal_prior), k=k)
+                    max_depth: int | None = None) -> "TopDownConfig":
+        """:meth:`PhattConfig.for_library`'s defaults, with budget ``k``."""
+        return replace(super().for_library(lib, max_depth), k=k)
 
 
 def create_fragments(lib: PlanLibrary, obs: int, ts: int) -> tuple[PlanNode, ...]:
@@ -169,9 +172,11 @@ def combine_independently(lib: PlanLibrary, h: Hypothesis, f: PlanNode,
 
 
 def k_best(hyps: Iterable[Hypothesis], k: int | None) -> list[Hypothesis]:
-    """Top ``k`` by weight, descending; ties broken by canonical form."""
-    ranked = sorted(hyps, key=lambda h: (-h.weight, h.canon))
-    return ranked if k is None else ranked[:k]
+    """Top ``k`` by weight, descending; ties broken by canonical form.
+    ``k=None`` keeps all of them unranked, in the order given."""
+    if k is None:
+        return list(hyps)
+    return sorted(hyps, key=lambda h: (-h.weight, h.canon))[:k]
 
 
 # ---------------------------------------------------------------------------
@@ -220,10 +225,12 @@ class SlimEngine:
         """Top-down compile the k best local hypotheses; returns the merged
         goal-rooted list and the elapsed microseconds.
 
-        Locals share state computation over common plan-sequence prefixes;
-        the output equals compiling each local alone and keeping one copy of
-        each hypothesis, ranked by weight and then canonical form (a total
-        order on distinct hypotheses).
+        Each local's plans are replayed in order, so every plan a replay
+        appends holds the newest observation. Locals share state computation
+        over common plan-sequence prefixes; the output equals compiling each
+        local alone and keeping one copy of each hypothesis, ranked by weight
+        and then canonical form (a total order on distinct hypotheses), so
+        the order of the locals does not matter.
         """
         t0 = time.perf_counter_ns()
         selected = k_best(hyps, self.cfg.k)

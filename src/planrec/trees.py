@@ -8,8 +8,8 @@ rule-probability product, open-frontier count) are computed once per node at
 construction.
 
 Serialization grammar, used for output and as the canonical ordering key
-(hypotheses deduplicate on their sorted plan tuples, which hash and compare
-through the nodes' serializations)::
+(hypotheses deduplicate on their plan tuples, kept in construction order,
+which hash and compare through the nodes' serializations)::
 
     node := name '?' | name '@' int | name '(' node (' ' node)* ')'
 
@@ -21,8 +21,6 @@ distinct structures never share a canonical form.
 """
 
 from __future__ import annotations
-
-from typing import Iterator
 
 from .grammar import PlanLibrary, Rule
 
@@ -56,13 +54,12 @@ class PlanNode:
         "weight",
         "height",
         "open_count",
-        "realized_count",
         "canon",
         "_hash",
     )
 
     def __init__(self, symbol, rule, children, ts, complete, min_ts, max_ts,
-                 weight, height, open_count, realized_count, canon):
+                 weight, height, open_count, canon):
         self.symbol = symbol
         self.rule = rule
         self.children = children
@@ -73,7 +70,6 @@ class PlanNode:
         self.weight = weight
         self.height = height
         self.open_count = open_count
-        self.realized_count = realized_count
         self.canon = canon
         self._hash = hash(canon)
 
@@ -92,17 +88,11 @@ class PlanNode:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"PlanNode({self.canon})"
 
-    def walk(self) -> Iterator["PlanNode"]:
-        """Pre-order traversal of the subtree."""
-        yield self
-        for child in self.children:
-            yield from child.walk()
-
 
 def open_node(lib: PlanLibrary, symbol: int) -> PlanNode:
     """The open-frontier node for a symbol."""
     return PlanNode(symbol, None, (), None, False, None, None,
-                    1.0, 0, 1, 0, lib.name(symbol) + "?")
+                    1.0, 0, 1, lib.name(symbol) + "?")
 
 
 def realized_leaf(lib: PlanLibrary, symbol: int, ts: int) -> PlanNode:
@@ -112,7 +102,7 @@ def realized_leaf(lib: PlanLibrary, symbol: int, ts: int) -> PlanNode:
     if ts < 1:
         raise ValueError("timestamps are 1-based observation indexes")
     return PlanNode(symbol, None, (), ts, True, ts, ts,
-                    1.0, 0, 0, 1, f"{lib.name(symbol)}@{ts}")
+                    1.0, 0, 0, f"{lib.name(symbol)}@{ts}")
 
 
 def _ordering_ok(rule: Rule, children: tuple[PlanNode, ...]) -> bool:
@@ -137,7 +127,6 @@ def try_expand(lib: PlanLibrary, rule: Rule, children: tuple[PlanNode, ...]) -> 
     weight = rule.prob
     height = 0
     open_count = 0
-    realized = 0
     for child in children:
         complete = complete and child.complete
         if child.min_ts is not None:
@@ -146,13 +135,12 @@ def try_expand(lib: PlanLibrary, rule: Rule, children: tuple[PlanNode, ...]) -> 
         weight *= child.weight
         height = max(height, child.height)
         open_count += child.open_count
-        realized += child.realized_count
     name = lib.name(rule.lhs)
     if lib.ambiguous_rhs:
         name = f"{name}#{rule.idx}"
     canon = f"{name}({' '.join(c.canon for c in children)})"
     return PlanNode(rule.lhs, rule, children, None, complete, min_ts, max_ts,
-                    weight, height + 1, open_count, realized, canon)
+                    weight, height + 1, open_count, canon)
 
 
 def expand(lib: PlanLibrary, rule: Rule, children: tuple[PlanNode, ...]) -> PlanNode:
@@ -181,7 +169,7 @@ def enabled_frontier(root: PlanNode) -> tuple[Path, ...]:
     """
     out: list[Path] = []
 
-    def walk(node: PlanNode, path: Path):
+    def visit(node: PlanNode, path: Path):
         if node.rule is None:
             if node.ts is None:
                 out.append(path)
@@ -193,9 +181,9 @@ def enabled_frontier(root: PlanNode) -> tuple[Path, ...]:
             if child.open_count:
                 preds = node.rule.preds[j]
                 if all(children[i].complete for i in preds):
-                    walk(child, path + (j,))
+                    visit(child, path + (j,))
 
-    walk(root, ())
+    visit(root, ())
     return tuple(out)
 
 
@@ -234,30 +222,27 @@ def try_fuse(lib: PlanLibrary, root: PlanNode, path: Path, sub: PlanNode) -> Pla
 # ---------------------------------------------------------------------------
 
 
-def _plan_sort_key(plan: PlanNode) -> tuple[float, str]:
-    return (plan.min_ts if plan.min_ts is not None else float("inf"), plan.canon)
-
-
 class Hypothesis:
     """A set of plans jointly explaining each consumed observation once.
 
-    Plans are kept sorted by (smallest realized timestamp, canonical form),
-    which makes the plan tuple, the weight product order, and therefore the
-    weight itself deterministic for structurally equal hypotheses. Equality
-    and hashing go through that tuple, the deduplication key; ``canon``, the
-    ``;``-joined plan serializations used for output and ordering, is built
-    on first read. ``weight`` is the product of all rule probabilities over
-    all plans, times the supplied per-root priors (goal priors for
-    goal-rooted hypotheses).
+    Plans stay in construction order, ascending smallest realized timestamp
+    (the contract of :meth:`with_plan` and :meth:`with_replaced`;
+    :func:`parse_hypothesis` sorts what it reads), which makes the plan
+    tuple, the weight product order, and therefore the weight itself
+    deterministic for structurally equal hypotheses. Equality and hashing go
+    through that tuple, the deduplication key; ``canon``, the ``;``-joined
+    plan serializations used for output and ordering, is built on first
+    read. ``weight`` is the product of all rule probabilities over all
+    plans, times the supplied per-root priors (goal priors for goal-rooted
+    hypotheses).
     """
 
-    __slots__ = ("plans", "weight", "_canon", "n")
+    __slots__ = ("plans", "weight", "_canon")
 
-    def __init__(self, plans: tuple[PlanNode, ...], weight: float, canon: str | None, n: int):
+    def __init__(self, plans: tuple[PlanNode, ...], weight: float):
         self.plans = plans
         self.weight = weight
-        self._canon = canon
-        self.n = n
+        self._canon = None
 
     @property
     def canon(self) -> str:
@@ -268,20 +253,20 @@ class Hypothesis:
 
     @staticmethod
     def build(plans: tuple[PlanNode, ...], priors=None) -> "Hypothesis":
-        plans = tuple(sorted(plans, key=_plan_sort_key))
+        """The hypothesis over ``plans``, taken in the order given."""
         weight = 1.0
-        n = 0
         for plan in plans:
             weight *= plan.weight
             if priors is not None:
                 weight *= priors.get(plan.symbol, 1.0)
-            n += plan.realized_count
-        return Hypothesis(plans, weight, None, n)
+        return Hypothesis(plans, weight)
 
     def with_plan(self, plan: PlanNode, priors=None) -> "Hypothesis":
+        """Append ``plan``, which must hold the newest observation."""
         return Hypothesis.build(self.plans + (plan,), priors)
 
     def with_replaced(self, index: int, plan: PlanNode, priors=None) -> "Hypothesis":
+        """Replace plan ``index`` with ``plan`` of the same smallest timestamp."""
         plans = self.plans[:index] + (plan,) + self.plans[index + 1:]
         return Hypothesis.build(plans, priors)
 
@@ -295,7 +280,7 @@ class Hypothesis:
         return f"Hypothesis({self.canon!r}, w={self.weight})"
 
 
-EMPTY_HYPOTHESIS = Hypothesis((), 1.0, "", 0)
+EMPTY_HYPOTHESIS = Hypothesis((), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -312,12 +297,15 @@ def parse_plan(lib: PlanLibrary, text: str) -> PlanNode:
 
 
 def parse_hypothesis(lib: PlanLibrary, text: str, priors=None) -> Hypothesis:
-    """Parse a ``;``-joined hypothesis serialization."""
+    """Parse a ``;``-joined hypothesis serialization, its plans in any order;
+    they are sorted by (smallest realized timestamp, canonical form),
+    unrealized plans last, the order the engines build."""
     text = text.strip()
     if not text:
         return EMPTY_HYPOTHESIS
-    plans = tuple(parse_plan(lib, part) for part in text.split(";"))
-    return Hypothesis.build(plans, priors)
+    plans = sorted((parse_plan(lib, part) for part in text.split(";")),
+                   key=lambda p: (float("inf") if p.min_ts is None else p.min_ts, p.canon))
+    return Hypothesis.build(tuple(plans), priors)
 
 
 def _parse_node(lib: PlanLibrary, text: str) -> tuple[PlanNode, str]:

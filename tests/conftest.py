@@ -72,9 +72,10 @@ rule: X -> A B C | (1,3),(2,3) | 1.0
 }
 
 
-def drive_engine(engine, names):
+def drive_engine(engine, names, hook=None):
     """Feed ``names`` through a PHATT or SLIM ``engine`` with
-    :func:`planrec.metrics.drive`; returns ``(final hypotheses, step rows)``."""
+    :func:`planrec.metrics.drive`, calling ``hook(ts, hyps)`` after each
+    step; returns ``(final hypotheses, step rows)``."""
     if isinstance(engine, PhattEngine):
         def step(hyps, sym, ts):
             return engine.step(HypothesisSet(ts - 1, hyps), sym).hypotheses
@@ -82,7 +83,7 @@ def drive_engine(engine, names):
     else:
         step, algorithm = engine.step, "slim"
     steps = []
-    return drive(engine.lib, list(names), step, engine.counter, algorithm, steps), steps
+    return drive(engine.lib, list(names), step, engine.counter, algorithm, steps, hook), steps
 
 
 @pytest.fixture

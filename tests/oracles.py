@@ -146,7 +146,8 @@ def verify_hypothesis(lib, h, n_obs, obs_syms=None, priors=None):
 
     Checks exact observation coverage, temporal consistency (with a closure
     recomputed here from the raw constraint pairs), agreement of all cached
-    node statistics with fresh recursion, and the weight product.
+    node statistics with fresh recursion, the weight product, and that the
+    plans' smallest timestamps strictly ascend.
     """
     problems = []
     stamps = []  # (ts, symbol)
@@ -159,12 +160,12 @@ def verify_hypothesis(lib, h, n_obs, obs_syms=None, priors=None):
         return got
 
     def recompute(node):
-        # returns (complete, min_ts, max_ts, weight, height, opens, realized)
+        # returns (complete, min_ts, max_ts, weight, height, opens)
         if node.rule is None:
             if node.ts is None:
-                return (False, None, None, 1.0, 0, 1, 0)
+                return (False, None, None, 1.0, 0, 1)
             stamps.append((node.ts, node.symbol))
-            return (True, node.ts, node.ts, 1.0, 0, 0, 1)
+            return (True, node.ts, node.ts, 1.0, 0, 0)
         stats = [recompute(c) for c in node.children]
         for i, j in closure_of(node.rule):
             comp_i, max_i = stats[i][0], stats[i][2]
@@ -185,20 +186,24 @@ def verify_hypothesis(lib, h, n_obs, obs_syms=None, priors=None):
             weight,
             1 + max(s[4] for s in stats),
             sum(s[5] for s in stats),
-            sum(s[6] for s in stats),
         )
         cached = (node.complete, node.min_ts, node.max_ts, node.weight,
-                  node.height, node.open_count, node.realized_count)
+                  node.height, node.open_count)
         if cached[:3] != result[:3] or cached[4:] != result[4:] or \
                 abs(cached[3] - result[3]) > 1e-9 * max(1.0, abs(result[3])):
             problems.append(f"cached statistics disagree at {node.canon}")
         return result
 
     weight = 1.0
+    plan_mins = []
     for plan in h.plans:
-        weight *= recompute(plan)[3]
+        stats = recompute(plan)
+        weight *= stats[3]
+        plan_mins.append(stats[1])
         if priors is not None:
             weight *= priors.get(plan.symbol, 1.0)
+    if None in plan_mins or plan_mins != sorted(set(plan_mins)):
+        problems.append(f"plan smallest timestamps {plan_mins} do not strictly ascend")
     seen = sorted(ts for ts, _ in stamps)
     if seen != list(range(1, n_obs + 1)):
         problems.append(f"timestamps {seen} do not cover 1..{n_obs} exactly once")

@@ -136,7 +136,7 @@ def test_each_step_extends_by_one_timestamp(lib):
         hset = engine.step(hset, lib.sym(name))
         assert hset.step == n
         for h in hset.hypotheses:
-            assert h.n == n
+            assert max(p.max_ts for p in h.plans) == n
             assert verify_hypothesis(lib, h, n, priors=cfg.goal_prior) == []
 
 
@@ -282,8 +282,11 @@ def test_recognize_returns_metrics(lib):
     assert [s.step for s in steps] == [1, 2, 3]
     assert steps[-1].hypotheses == len(hyps)
     # frontier metric equals a brute-force recount over the final set
+    def open_nodes(tree):
+        if tree[0] == "exp":
+            return sum(open_nodes(c) for c in tree[3])
+        return int(tree[0] == "open")
+
     assert steps[-1].frontier == sum(
-        sum(1 for node in p.walk() if node.is_open)
-        for h in hyps
-        for p in h.plans
+        open_nodes(from_plan_node(p)) for h in hyps for p in h.plans
     )

@@ -263,7 +263,7 @@ def test_cli_recognize_failure_exit_code(workspace, tmp_path, capsys):
         "recognize", "--library", str(lib_path), "--observations", str(bad),
         "--algorithm", "phatt",
     ])
-    assert code == 2
+    assert code == 6
     err = capsys.readouterr().err
     assert "observation 1" in err and "'b'" in err
 
@@ -363,6 +363,38 @@ def test_cli_bench_rejects_bad_values_without_traceback(workspace, capsys, flags
     err = capsys.readouterr().err
     assert f"argument {flags[0]}: invalid" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--and-branch", "1"], "branch factors must be >= 2"),
+    (["--or-branch", "0"], "branch factors must be >= 2"),
+    (["--ordered-fraction", "2"], "ordered_fraction must be in [0, 1]"),
+    (["--goals", "0"], "num_goals must be >= 1"),
+    (["--depth", "0"], "depth must be >= 1"),
+    (["--terminals", "0"], "num_terminals must be >= 1"),
+])
+def test_cli_generate_rejects_bad_values_without_traceback(tmp_path, capsys, flags, message):
+    out = tmp_path / "lib.txt"
+    with pytest.raises(SystemExit) as exit_info:
+        main(["generate", "--out", str(out), *flags])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert f"error: generate: {message}" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("count", ["-2", "0", "x"])
+def test_cli_simulate_rejects_bad_count_without_traceback(workspace, capsys, count):
+    tmp, lib_path, obs_dir = workspace
+    out = tmp / "sims"
+    with pytest.raises(SystemExit) as exit_info:
+        main(["simulate", "--library", str(lib_path), "--count", count, "--out", str(out)])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --count: invalid" in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_cli_generate_determinism(tmp_path):

@@ -2,6 +2,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
@@ -29,6 +31,17 @@ def test_run_paper_benchmark_rejects_bad_k_list(tmp_path):
                       ["--depth", "2", "--k-list", "0,x", "--out-dir", "out"], tmp_path)
     assert done.returncode == 2
     assert "argument --k-list: invalid" in done.stderr
+    assert "Traceback" not in done.stderr
+    assert not (tmp_path / "out").exists()  # rejected before the domain is built
+
+
+@pytest.mark.parametrize("algorithms", ["foo", "phatt,foo"])
+def test_run_paper_benchmark_rejects_unknown_algorithm(tmp_path, algorithms):
+    done = run_script("run_paper_benchmark.py",
+                      ["--depth", "2", "--algorithms", algorithms, "--out-dir", "out"],
+                      tmp_path)
+    assert done.returncode == 2
+    assert "argument --algorithms: invalid" in done.stderr
     assert "Traceback" not in done.stderr
     assert not (tmp_path / "out").exists()  # rejected before the domain is built
 

@@ -26,7 +26,7 @@ from planrec.trees import (
     try_expand,
 )
 
-from conftest import drive_engine
+from conftest import SUITE, drive_engine
 from oracles import all_agent_prefixes, reachable_symbols, slim_oracle_run, verify_hypothesis
 from test_acceptance import BENCH_A, BENCH_B
 
@@ -337,7 +337,8 @@ def test_k_best_ordering_and_ties(lib):
     assert [h.canon for h in best] == ["A(a@1);C(c@2)"]  # weights tie, canon order
     assert k_best(hs, 0) == []
     assert len(k_best(hs, 10)) == 2
-    assert len(k_best(hs, None)) == 2
+    # k=None ranks nothing: every hypothesis, in the order given
+    assert k_best(hs, None) == hs and k_best(hs[::-1], None) == hs[::-1]
 
 
 def test_k_best_by_weight():
@@ -493,6 +494,21 @@ def test_slim_recognize_empty_sequence(lib, tmp_path):
     assert failure is None and (phatt.final_hypotheses, phatt.goal_rooted) == (1, 0)
 
 
+@pytest.mark.parametrize("case", ["running-example", "benchmark-a-1000"])
+def test_compile_ignores_the_order_of_the_locals(lib, case):
+    if case == "running-example":
+        names = ["a", "c", "b"]
+    else:
+        lib = generate_domain(BENCH_A)
+        names = simulate_agent(lib, 1000)
+    locals_ = bottom_up(lib, names)
+    given, _ = SlimEngine(lib, cfg_all(lib)).compile_top_down(locals_)
+    reverse, _ = SlimEngine(lib, cfg_all(lib)).compile_top_down(locals_[::-1])
+    assert given
+    assert [(h.canon, repr(h.weight)) for h in given] == \
+        [(h.canon, repr(h.weight)) for h in reverse]
+
+
 def test_batched_compile_equals_sequential(lib):
     locals_ = bottom_up(lib, ["a", "c", "b"])
     batched, _ = SlimEngine(lib, cfg_all(lib)).compile_top_down(locals_)
@@ -505,6 +521,46 @@ def test_batched_compile_equals_sequential(lib):
                 sequential.append(h)
     assert canons(batched) == canons(sequential)
     assert sorted(h.weight for h in batched) == sorted(h.weight for h in sequential)
+
+
+# ---------------------------------------------------------------------------
+# Plan order: every engine builds plans in ascending smallest timestamp
+# ---------------------------------------------------------------------------
+
+
+def plans_ascend(h):
+    mins = [p.min_ts for p in h.plans]
+    return None not in mins and all(a < b for a, b in zip(mins, mins[1:]))
+
+
+@pytest.mark.parametrize("case", sorted(SUITE) + ["benchmark-a-1000"])
+def test_engines_build_plans_in_ascending_timestamp_order(case):
+    # Hypothesis.build keeps the order it is given, so PHATT, SLIM's bottom-up
+    # step and the slim-all compile must each construct their plan tuples in order
+    if case in SUITE:
+        lib = parse_library(SUITE[case])
+        sequences = all_agent_prefixes(lib, 4)
+    else:
+        lib = generate_domain(BENCH_A)
+        sequences = [simulate_agent(lib, 1000)]
+    checked = 0
+    for names in sequences:
+        built = []
+
+        def hook(ts, hyps):
+            built.extend(hyps)
+
+        try:
+            drive_engine(PhattEngine(lib), names, hook)
+        except RecognitionFailure:
+            pass
+        engine = SlimEngine(lib, cfg_all(lib))
+        locals_, _ = drive_engine(engine, names, hook)
+        built.extend(engine.compile_top_down(locals_)[0])
+        assert all(plans_ascend(h) for h in built), \
+            (names, [h.canon for h in built if not plans_ascend(h)][:3])
+        checked += len(built)
+    assert checked > len(sequences)
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,6 @@ def test_node_states_and_caches(lib):
     assert plan.min_ts == 1 and plan.max_ts == 2
     assert not plan.complete
     assert plan.open_count == 1
-    assert plan.realized_count == 2
     assert plan.height == 2
     assert plan.weight == 1.0
     done = build(lib, "X(A(a@1) B(b@3) C(c@2))")
@@ -118,7 +117,7 @@ def test_check_temporal_consistency(lib):
     bad = PlanNode(
         lib.sym("X"), x_rule(lib),
         (open_node(lib, lib.sym("A")), build(lib, "B(b@1)"), open_node(lib, lib.sym("C"))),
-        None, False, 1, 1, 1.0, 2, 2, 1, "X(A? B(b@1) C?)",
+        None, False, 1, 1, 1.0, 2, 2, "X(A? B(b@1) C?)",
     )
     assert not consistent(lib, from_plan_node(bad))
 
@@ -136,10 +135,9 @@ def test_ordering_made_vacuous_by_empty_successor(lib):
 def test_canonical_form_examples(lib):
     h3 = Hypothesis.build((build(lib, "X(A(a@1) B(b@3) C(c@2))"),))
     assert h3.canon == "X(A(a@1) B(b@3) C(c@2))"
-    # plan list order does not matter
-    p1 = build(lib, "A(a@1)")
-    p2 = build(lib, "C(c@2)")
-    assert Hypothesis.build((p1, p2)).canon == Hypothesis.build((p2, p1)).canon
+    # the serialized plan order does not matter
+    assert parse_hypothesis(lib, "A(a@1);C(c@2)").canon == \
+        parse_hypothesis(lib, "C(c@2);A(a@1)").canon
     # differing rule choice yields a different string
     other = Hypothesis.build((build(lib, "X(A(a@1) B? C(c@2))"),))
     assert other.canon != h3.canon
@@ -148,8 +146,8 @@ def test_canonical_form_examples(lib):
 def test_dedup_key_is_the_plan_tuple(lib):
     from planrec.phatt import _merge
 
-    first = Hypothesis.build((build(lib, "A(a@1)"), build(lib, "C(c@2)")))
-    second = Hypothesis.build((build(lib, "C(c@2)"), build(lib, "A(a@1)")))
+    first = parse_hypothesis(lib, "A(a@1);C(c@2)")
+    second = parse_hypothesis(lib, "C(c@2);A(a@1)")
     assert all(p is not q for p, q in zip(first.plans, second.plans))
     assert first == second and hash(first) == hash(second)
     assert first.plans == second.plans and hash(first.plans) == hash(second.plans)
@@ -158,7 +156,7 @@ def test_dedup_key_is_the_plan_tuple(lib):
     _merge(out, second)
     assert list(out.values()) == [first] and out[second.plans] is first
     assert first != Hypothesis.build((build(lib, "A(a@1)"),))
-    forged = Hypothesis(second.plans, first.weight / 2, None, second.n)
+    forged = Hypothesis(second.plans, first.weight / 2)
     assert forged == first and forged.canon == first.canon == "A(a@1);C(c@2)"
     with pytest.raises(AssertionError, match="diverging weights"):
         _merge(out, forged)
@@ -167,10 +165,13 @@ def test_dedup_key_is_the_plan_tuple(lib):
 def test_hypothesis_sorting_by_min_ts(lib):
     early = build(lib, "C(c@1)")
     late = build(lib, "A(a@2)")
-    h = Hypothesis.build((late, early))
+    h = parse_hypothesis(lib, "A(a@2);C(c@1)")
     assert h.plans == (early, late)
     assert h.canon == "C(c@1);A(a@2)"
-    assert h.n == 2
+    # a plan with no realized timestamp sorts last
+    assert parse_hypothesis(lib, "B?;A(a@2)").canon == "A(a@2);B?"
+    # build keeps the order it is given; the engines construct it ascending
+    assert Hypothesis.build((late, early)).plans == (late, early)
 
 
 def test_hypothesis_weight_with_priors(lib):
@@ -185,7 +186,6 @@ def test_empty_hypothesis():
     assert EMPTY_HYPOTHESIS.plans == ()
     assert EMPTY_HYPOTHESIS.weight == 1.0
     assert EMPTY_HYPOTHESIS.canon == ""
-    assert EMPTY_HYPOTHESIS.n == 0
 
 
 def test_parse_hypothesis_round_trip(lib):
@@ -207,7 +207,7 @@ def test_verify_hypothesis_flags_problems(lib):
     assert verify_hypothesis(lib, h, 3)  # timestamp 3 missing
     wrong_obs = [lib.sym("c"), lib.sym("c")]
     assert verify_hypothesis(lib, h, 2, obs_syms=wrong_obs)
-    forged = Hypothesis(h.plans, 0.5, h.canon, h.n)
+    forged = Hypothesis(h.plans, 0.5)
     assert any("weight" in p for p in verify_hypothesis(lib, forged, 2))
 
 
