@@ -27,6 +27,11 @@ from planrec.grammar import serialize_library
 from planrec.runner import format_summary, run_benchmark
 
 
+def seed_list(text: str) -> list[int]:
+    """Comma-separated integer simulation seeds."""
+    return [int(s) for s in text.split(",")]
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--goals", type=int, default=5)
@@ -36,7 +41,7 @@ def main() -> int:
     ap.add_argument("--terminals", type=int, default=100)
     ap.add_argument("--ordered-fraction", type=float, default=0.3)
     ap.add_argument("--domain-seed", type=int, default=11)
-    ap.add_argument("--instances", default=None,
+    ap.add_argument("--instances", type=seed_list, default=list(range(1000, 1020)),
                     help="comma-separated simulation seeds (default 1000..1019)")
     ap.add_argument("--algorithms", type=algorithm_list, default="phatt,slim",
                     help="comma-separated: phatt,slim")
@@ -44,14 +49,17 @@ def main() -> int:
                     help="comma-separated top-down budgets for slim, e.g. 0,100,all")
     ap.add_argument("--out-dir", required=True)
     args = ap.parse_args()
+    try:
+        params = DomainParams(
+            num_goals=args.goals, and_branch=args.and_branch, or_branch=args.or_branch,
+            depth=args.depth, num_terminals=args.terminals,
+            ordered_fraction=args.ordered_fraction, seed=args.domain_seed,
+        )
+    except ValueError as err:
+        ap.error(str(err))
 
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    params = DomainParams(
-        num_goals=args.goals, and_branch=args.and_branch, or_branch=args.or_branch,
-        depth=args.depth, num_terminals=args.terminals,
-        ordered_fraction=args.ordered_fraction, seed=args.domain_seed,
-    )
     lib = generate_domain(params)
     stats = library_stats(lib)
     print(f"domain: {stats.num_complex_actions} complex actions, "
@@ -59,11 +67,9 @@ def main() -> int:
     lib_path = out / "library.txt"
     lib_path.write_text(serialize_library(lib))
 
-    seeds = ([int(s) for s in args.instances.split(",")]
-             if args.instances else list(range(1000, 1020)))
     obs_dir = out / "observations"
     obs_dir.mkdir(exist_ok=True)
-    for seed in seeds:
+    for seed in args.instances:
         seq = simulate_agent(lib, seed)
         (obs_dir / f"inst_{seed}.txt").write_text(" ".join(seq) + "\n")
 

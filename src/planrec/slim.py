@@ -13,17 +13,25 @@ each plan, grafted into goal-rooted leftmost trees. A local's plans stay in
 creation order, ascending smallest timestamp, unsorted: a standalone fragment
 is appended holding the newest observation, and the other three combinations
 keep the smallest timestamp of the plan they replace.
+
+A joined local, one holding a plan of height above 1, usually compiles to
+nothing its split does not: the split keeps only the local's fragments, each
+as a standalone plan. When the library makes that provable (see
+:meth:`SlimEngine.compile_top_down`), the compiler skips every joined local
+whose split it compiles too.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
+from functools import cached_property
+from operator import attrgetter
 from typing import Iterable
 
 from .grammar import ObservationError, PlanLibrary, Rule
 from .metrics import CombinationCounter
-from .phatt import PhattConfig, PhattEngine, RecognitionFailure, _merge
+from .phatt import _UNSEEN, PhattConfig, PhattEngine, RecognitionFailure, _merge
 from .trees import (
     EMPTY_HYPOTHESIS,
     Hypothesis,
@@ -221,6 +229,12 @@ class SlimEngine:
             raise RecognitionFailure(ts, lib.name(obs))
         return tuple(out.values())
 
+    @cached_property
+    def _skip_split_covered(self) -> bool:
+        """:func:`_split_skip_sound` for this engine, worked out by the first
+        compile rather than at construction."""
+        return _split_skip_sound(self.lib, self.cfg.max_depth)
+
     def compile_top_down(self, hyps: Iterable[Hypothesis]) -> tuple[list[Hypothesis], int]:
         """Top-down compile the k best local hypotheses; returns the merged
         goal-rooted list and the elapsed microseconds.
@@ -231,12 +245,54 @@ class SlimEngine:
         local alone and keeping one copy of each hypothesis, ranked by weight
         and then canonical form (a total order on distinct hypotheses), so
         the order of the locals does not matter.
+
+        A selected local L is skipped when some plan of L has height above 1
+        and L's split is selected too. The split is L's fragments, its
+        depth-1 subtrees, as standalone plans in ascending smallest
+        timestamp. The skip applies only when the library is acyclic, the
+        depth cap reaches its longest derivation (``max_depth >=
+        acyclic_depth``), and no rule's RHS mixes terminals and nonterminals;
+        the first compile checks this. Then fragments are the only nodes
+        holding realized leaves, and a join never changes them: it only
+        builds parents above them. Replaying L's fragments in ascending
+        smallest timestamp through :meth:`PhattEngine.advance` therefore
+        rebuilds every hypothesis L compiles to: the first fragment of a
+        joined plan lies on a path free of ordering predecessors, each later
+        one grafts below the deepest node built so far, and no leftmost tree
+        needs more than ``acyclic_depth`` levels. So compile(L) is a subset
+        of compile(split(L)), and as equal plan tuples carry equal weights
+        (``_merge`` checks it), the output is the same for any input and any
+        ``k``. Without the guard the subset can fail: under ``P -> Q c`` a
+        fragment ``P(Q? c@t)`` grows past depth 1 once a plan fuses into its
+        ``Q``, so its leaf ``c`` is left out of the split.
         """
         t0 = time.perf_counter_ns()
         selected = k_best(hyps, self.cfg.k)
         out: dict[tuple[PlanNode, ...], Hypothesis] = {}
+        skip = self._skip_split_covered
+        selected_plans: set[tuple[PlanNode, ...]] | None = None
+        fragments_memo: dict[int, list[PlanNode] | None] = {}
 
-        def compile_group(locals_: list[Hypothesis], depth: int, states: dict):
+        def split_selected(local: Hypothesis) -> bool:
+            nonlocal selected_plans
+            split: list[PlanNode] = []
+            for plan in local.plans:
+                key = id(plan)  # every plan outlives the call
+                frags = fragments_memo.get(key, _UNSEEN)
+                if frags is _UNSEEN:
+                    frags = fragments_memo[key] = _fragments(plan)
+                if frags is None:
+                    return False
+                split += frags
+            if selected_plans is None:
+                selected_plans = {h.plans for h in selected}
+            split.sort(key=_MIN_TS)
+            return tuple(split) in selected_plans
+
+        def compile_group(locals_: list[Hypothesis], depth: int, states: dict,
+                          checked: bool):
+            # ``checked``: the shared prefix holds a joined plan, so every
+            # local here already passed the split check
             groups: dict[PlanNode, list[Hypothesis]] = {}
             for local in locals_:
                 if len(local.plans) == depth:
@@ -244,11 +300,42 @@ class SlimEngine:
                 else:
                     groups.setdefault(local.plans[depth], []).append(local)
             for target, group in groups.items():
+                joined = target.height > 1
+                if skip and joined and not checked:
+                    group = [local for local in group if not split_selected(local)]
+                    if not group:
+                        continue
                 sub = self._phatt.advance(states.values(), target)
                 if sub:
-                    compile_group(group, depth + 1, sub)
+                    compile_group(group, depth + 1, sub, checked or joined)
 
-        compile_group(selected, 0, {EMPTY_HYPOTHESIS.plans: EMPTY_HYPOTHESIS})
+        compile_group(selected, 0, {EMPTY_HYPOTHESIS.plans: EMPTY_HYPOTHESIS}, False)
         merged = sorted(out.values(), key=lambda h: (-h.weight, h.canon))
         elapsed = (time.perf_counter_ns() - t0) // 1000
         return merged, elapsed
+
+
+_MIN_TS = attrgetter("min_ts")
+
+
+def _fragments(plan: PlanNode) -> list[PlanNode] | None:
+    """The plan's depth-1 subtrees in tree order; None when one of them holds
+    no observation or the plan itself is a bare node, since neither replays."""
+    out: list[PlanNode] = []
+
+    def collect(node: PlanNode) -> bool:
+        if node.height == 1:
+            out.append(node)
+            return node.min_ts is not None
+        return all(collect(child) for child in node.children if child.height)
+
+    return out if plan.height and collect(plan) else None
+
+
+def _split_skip_sound(lib: PlanLibrary, max_depth: int) -> bool:
+    """Whether :meth:`SlimEngine.compile_top_down` may skip the locals whose
+    split it compiles too: the library is acyclic, ``max_depth`` reaches its
+    longest derivation, and no rule's RHS mixes terminals and nonterminals."""
+    if lib.acyclic_depth is None or max_depth < lib.acyclic_depth:
+        return False
+    return all(len({lib.is_terminal(s) for s in rule.rhs}) == 1 for rule in lib.rules)

@@ -46,6 +46,19 @@ def test_run_paper_benchmark_rejects_unknown_algorithm(tmp_path, algorithms):
     assert not (tmp_path / "out").exists()  # rejected before the domain is built
 
 
+@pytest.mark.parametrize("args, message", [
+    (["--and-branch", "1"], "branch factors must be >= 2"),
+    (["--instances", "1,x"], "argument --instances: invalid"),
+])
+def test_run_paper_benchmark_rejects_bad_values(tmp_path, args, message):
+    done = run_script("run_paper_benchmark.py",
+                      ["--depth", "2", *args, "--out-dir", "out"], tmp_path)
+    assert done.returncode == 2
+    assert message in done.stderr
+    assert "Traceback" not in done.stderr
+    assert not (tmp_path / "out").exists()  # rejected before the domain is built
+
+
 def test_find_bench_instances_smoke(tmp_path):
     done = run_script("find_bench_instances.py",
                       ["--depth", "2", "--count", "3", "--low", "1", "--high", "1000"],

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from planrec.domains import generate_domain, simulate_agent
+from planrec.domains import DomainParams, generate_domain, simulate_agent
 from planrec.grammar import parse_library
 from planrec.metrics import CombinationCounter, drive
 from planrec.phatt import PhattConfig, PhattEngine, RecognitionFailure
@@ -9,6 +9,7 @@ from planrec.runner import _run
 from planrec.slim import (
     SlimEngine,
     TopDownConfig,
+    _split_skip_sound,
     combine_as_child,
     combine_as_sibling,
     combine_directly,
@@ -362,12 +363,16 @@ def cfg_all(lib):
 
 
 @pytest.mark.parametrize("case, bottom_up_n, top_down_n", [
-    ("running-example", 8, 11),
-    ("benchmark-a-1000", 451, 2655),  # many states share plans: memo hits
+    # the three joined locals are skipped: A(a@1);C(c@2);B(b@3), their split,
+    # is compiled too (11 attempts without the skip)
+    ("running-example", 8, 5),
+    # no split among the input: the values the uncached compiler counted
+    ("running-example-joined-only", 8, 6),
+    ("benchmark-a-1000", 451, 2655),  # no joined locals; many states share plans
 ])
 def test_top_down_counts_every_attempt(lib, case, bottom_up_n, top_down_n):
-    # the values the uncached compiler counted, one per attempted graft
-    if case == "running-example":
+    # one count per attempted graft, memo hits included
+    if case.startswith("running-example"):
         names = ["a", "c", "b"]
     else:
         lib = generate_domain(BENCH_A)
@@ -375,6 +380,9 @@ def test_top_down_counts_every_attempt(lib, case, bottom_up_n, top_down_n):
     engine = SlimEngine(lib, cfg_all(lib))
     local = drive(lib, names, engine.step, engine.counter, "slim", [])
     assert engine.counter.n == bottom_up_n
+    if case == "running-example-joined-only":
+        local = [h for h in local if h.canon != "A(a@1);C(c@2);B(b@3)"]
+        assert len(local) == 3
     engine.compile_top_down(local)
     assert engine.counter.n == bottom_up_n + top_down_n
 
@@ -521,6 +529,182 @@ def test_batched_compile_equals_sequential(lib):
                 sequential.append(h)
     assert canons(batched) == canons(sequential)
     assert sorted(h.weight for h in batched) == sorted(h.weight for h in sequential)
+
+
+# ---------------------------------------------------------------------------
+# Skipping the joined locals whose split is compiled too
+# ---------------------------------------------------------------------------
+
+# rules mixing terminals and nonterminals: the skip must stay off
+MIXED = {
+    "terminal-beside-plans": """
+terminals: a b x
+nonterminals: G R A B
+goals: G
+rule: G -> R | | 1.0
+rule: R -> A B x | | 1.0
+rule: A -> a | | 1.0
+rule: B -> b | | 1.0
+""",
+    "plan-beside-terminal": """
+terminals: a b c d
+nonterminals: G P Q
+goals: G
+rule: G -> P Q | | 1.0
+rule: P -> Q c | | 1.0
+rule: Q -> b a c | | 0.5
+rule: Q -> d | | 0.5
+""",
+}
+MIXED_OBSERVATIONS = {"terminal-beside-plans": ["a", "b", "x"],
+                      "plan-beside-terminal": ["c", "d", "a", "c", "b"]}
+
+# acyclic_depth 3: a depth cap of 1 reaches R from G but not A or B
+CHAIN = """
+terminals: a b
+nonterminals: G R A B
+goals: G
+rule: G -> R | | 1.0
+rule: R -> A B | | 1.0
+rule: A -> a | | 1.0
+rule: B -> b | | 1.0
+"""
+
+SHARED = DomainParams(num_goals=3, and_branch=2, or_branch=2, depth=4, num_terminals=20,
+                      ordered_fraction=0.3, seed=3, share_subtrees=True)
+
+
+def ranked(hyps):
+    return [(h.canon, repr(h.weight)) for h in hyps]
+
+
+def per_local_union(lib, locals_, max_depth=None):
+    """Each local's plans replayed alone through the modified-PHATT step, the
+    compile without the skip, and merged."""
+    phatt = PhattEngine(lib, PhattConfig.for_library(lib, max_depth))
+    merged = {}
+    for local in locals_:
+        states = {EMPTY_HYPOTHESIS.plans: EMPTY_HYPOTHESIS}
+        for plan in local.plans:
+            states = phatt.advance(states.values(), plan)
+        for h in states.values():
+            merged.setdefault(h.plans, h)
+    return ranked(sorted(merged.values(), key=lambda h: (-h.weight, h.canon)))
+
+
+def joined(locals_):
+    return [h for h in locals_ if any(p.height > 1 for p in h.plans)]
+
+
+def assert_skip_keeps_output(lib, names, ks=(None,), max_depth=None):
+    """The batched compile of the bottom-up locals at each k, and of the
+    joined locals alone (no split among them), equals the per-local union."""
+    engine = SlimEngine(lib, TopDownConfig.for_library(lib, k=None, max_depth=max_depth))
+    locals_, _ = drive_engine(engine, names)
+    for k, given in [(k, locals_) for k in ks] + [(None, joined(locals_))]:
+        batched = SlimEngine(lib, TopDownConfig.for_library(lib, k=k, max_depth=max_depth))
+        assert ranked(batched.compile_top_down(given)[0]) == \
+            per_local_union(lib, k_best(given, k), max_depth), (names, k)
+    return locals_
+
+
+@pytest.mark.parametrize("case", sorted(SUITE))
+def test_split_skip_keeps_output_suite(case):
+    lib = parse_library(SUITE[case])
+    assert _split_skip_sound(lib, TopDownConfig.for_library(lib).max_depth)
+    for names in all_agent_prefixes(lib, 4):
+        try:
+            assert_skip_keeps_output(lib, names, ks=(None, 1, 3))
+        except RecognitionFailure:
+            pass
+
+
+@pytest.mark.parametrize("case", ["benchmark-a-1000", "share-subtrees"])
+def test_split_skip_keeps_output_generated(case):
+    if case == "benchmark-a-1000":
+        lib = generate_domain(BENCH_A)
+        names = simulate_agent(lib, 1000)
+    else:
+        lib = generate_domain(SHARED)
+        names = simulate_agent(lib, 1)
+    assert _split_skip_sound(lib, TopDownConfig.for_library(lib).max_depth)
+    locals_ = assert_skip_keeps_output(lib, names, ks=(None, 3))
+    # benchmark A joins nothing; the shared-subtree domain joins most locals
+    assert (len(joined(locals_)) > 0) == (case == "share-subtrees")
+
+
+def test_split_skip_matches_phatt_on_benchmark_b_2071():
+    lib = generate_domain(BENCH_B)
+    names = simulate_agent(lib, 2071)
+    engine = SlimEngine(lib, cfg_all(lib))
+    locals_, _ = drive_engine(engine, names)
+    assert joined(locals_) and _split_skip_sound(lib, engine.cfg.max_depth)
+    goal_rooted, _ = engine.compile_top_down(locals_)
+    hyps, _ = drive_engine(PhattEngine(lib), names)
+    phatt_ranked = sorted(hyps, key=lambda h: (-h.weight, h.canon))
+    assert [h.canon for h in goal_rooted] == [h.canon for h in phatt_ranked]
+    assert [h.weight for h in goal_rooted] == pytest.approx([h.weight for h in phatt_ranked])
+
+
+def test_split_skip_off_below_the_longest_derivation(lib):
+    # a depth cap below acyclic_depth turns the skip off; the compile still
+    # equals the per-local union
+    shared = generate_domain(SHARED)
+    chain = parse_library(CHAIN)
+    for library, names, max_depth in [(lib, ["a", "c", "b"], 1),
+                                      (shared, simulate_agent(shared, 1), shared.acyclic_depth - 1),
+                                      (chain, ["a", "b"], 1)]:
+        assert not _split_skip_sound(library, max_depth)
+        assert joined(assert_skip_keeps_output(library, names, max_depth=max_depth))
+
+
+def test_split_skip_keeps_locals_with_plans_that_replay_nowhere(lib):
+    # a bare open plan and a depth-1 node without an observation are no
+    # fragments: dropping them from the split would lose what they compile to
+    split = parse_hypothesis(lib, "A(a@1);C(c@2)")
+    locals_ = [split, parse_hypothesis(lib, "X(A(a@1) B? C(c@2));C?"),
+               parse_hypothesis(lib, "X(A? B(b?) C(c@1))"), parse_hypothesis(lib, "C(c@1)")]
+    batched, _ = SlimEngine(lib, cfg_all(lib)).compile_top_down(locals_)
+    assert ranked(batched) == per_local_union(lib, locals_)
+    assert "X(A(a@1) B? C(c@2));X(A? B? C?)" in canons(batched)
+
+
+@pytest.mark.parametrize("case", sorted(MIXED))
+def test_split_skip_off_for_mixed_rules(case):
+    lib = parse_library(MIXED[case])
+    assert not _split_skip_sound(lib, TopDownConfig.for_library(lib).max_depth)
+    assert joined(assert_skip_keeps_output(lib, MIXED_OBSERVATIONS[case], ks=(None, 3)))
+
+
+@pytest.mark.parametrize("case, names, max_depth, lost", [
+    # under P -> Q c a fusion into the fragment P(Q? c@t) hides its leaf c
+    # from the split
+    ("plan-beside-terminal", ["c", "d", "a", "c", "b"], None, 37),
+    # a cap of 1 reaches R(A(a@1) B(b@2)) from G but not its fragments
+    ("chain", ["a", "b"], 1, 1),
+])
+def test_split_skip_without_the_guard_loses_hypotheses(case, names, max_depth, lost):
+    lib = parse_library(CHAIN if case == "chain" else MIXED[case])
+    engine = SlimEngine(lib, TopDownConfig.for_library(lib, k=None, max_depth=max_depth))
+    locals_, _ = drive_engine(engine, names)
+    engine._skip_split_covered = True  # force the skip past the guard
+    forced = {h.canon for h in engine.compile_top_down(locals_)[0]}
+    union = {canon for canon, _ in per_local_union(lib, locals_, max_depth)}
+    assert forced < union and len(union - forced) == lost
+
+
+@pytest.mark.xfail(strict=True, reason="no combiner fuses an earlier plan into a "
+                                       "later fragment's open slot")
+def test_slim_all_misses_an_earlier_plan_under_a_later_fragment():
+    lib = parse_library(
+        "terminals: a x\nnonterminals: G R A\ngoals: G\n"
+        "rule: G -> R | | 1.0\nrule: R -> A x | | 1.0\nrule: A -> a | | 1.0"
+    )
+    engine = SlimEngine(lib, cfg_all(lib))
+    goal_rooted, _ = engine.compile_top_down(drive_engine(engine, ["a", "x"])[0])
+    hyps, _ = drive_engine(PhattEngine(lib), ["a", "x"])
+    assert "G(R(A(a@1) x@2))" in canons(hyps)
+    assert canons(goal_rooted) == canons(hyps)
 
 
 # ---------------------------------------------------------------------------
