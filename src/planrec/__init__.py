@@ -38,12 +38,9 @@ from .slim import (
 )
 from .trees import (
     EMPTY_HYPOTHESIS,
-    FusionError,
     Hypothesis,
-    OrderingViolation,
     PlanNode,
     enabled_frontier,
-    node_at,
     open_node,
     parse_hypothesis,
     parse_plan,

@@ -1,9 +1,10 @@
 """Command-line front end: recognize, generate, simulate, bench.
 
 Exit codes: 0 success, 2 a command-line usage error (argparse's own code,
-also for ``generate`` parameters that :class:`DomainParams` rejects), 3
-library parse error, 4 I/O error, 5 an observation that is unknown or not a
-terminal, 6 recognition failure.
+also for ``generate`` parameters that :class:`DomainParams` rejects and
+for an empty or repeated ``--k-list`` or ``--algorithms``), 3 a library that
+does not parse or that ``simulate`` cannot sample, 4 I/O error, 5 an
+observation that is unknown or not a terminal, 6 recognition failure.
 """
 
 from __future__ import annotations
@@ -32,18 +33,28 @@ from .runner import (
 ALGORITHMS = ("phatt", "slim")
 
 
+def _distinct(values: list, text: str) -> list:
+    """``values``, parsed from ``text``; rejects an empty or repeated list."""
+    if not values:
+        raise ValueError(f"no value in {text!r}")
+    if len(set(values)) < len(values):
+        raise ValueError(f"repeated value in {text!r}")
+    return values
+
+
 def algorithm_list(text: str) -> list[str]:
-    """Comma-separated engine names, each one of :data:`ALGORITHMS`."""
+    """Comma-separated distinct engine names, each one of :data:`ALGORITHMS`."""
     names = [a.strip() for a in text.split(",") if a.strip()]
     unknown = [a for a in names if a not in ALGORITHMS]
     if unknown:
         raise ValueError(f"unknown algorithm {unknown[0]!r}")
-    return names
+    return _distinct(names, text)
 
 
 def k_list(text: str) -> list[int | None]:
-    """Comma-separated top-down budgets, each checked by :func:`parse_k`."""
-    return [parse_k(v.strip()) for v in text.split(",") if v.strip()]
+    """Comma-separated distinct top-down budgets, each checked by
+    :func:`parse_k`."""
+    return _distinct([parse_k(v.strip()) for v in text.split(",") if v.strip()], text)
 
 
 def positive_int(text: str) -> int:
@@ -150,10 +161,10 @@ def _dispatch(args, parser: argparse.ArgumentParser) -> int:
 
     if args.command == "simulate":
         lib = load_library(args.library)
+        sequences = [simulate_agent(lib, args.seed + i) for i in range(args.count)]
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        for i in range(args.count):
-            seq = simulate_agent(lib, args.seed + i)
+        for i, seq in enumerate(sequences):
             (out_dir / f"obs_{i:03d}.txt").write_text(" ".join(seq) + "\n",
                                                       encoding="utf-8")
         print(f"wrote {args.count} sequences to {out_dir}")

@@ -16,7 +16,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .grammar import PlanLibrary, build_library
+from .grammar import LibraryError, PlanLibrary, build_library
 
 
 @dataclass(frozen=True)
@@ -100,7 +100,9 @@ def generate_domain(params: DomainParams) -> PlanLibrary:
 
 def simulate_agent(lib: PlanLibrary, seed: int) -> list[str]:
     """Sample one goal, one complete plan for it, and one linear extension
-    of the plan's ordering constraints; returns terminal names in order."""
+    of the plan's ordering constraints; returns terminal names in order.
+    Raises :class:`LibraryError` when a sampled nonterminal has no rules or
+    the plan outgrows an expansion budget (a heavily recursive library)."""
     rng = random.Random(seed)
     goal = lib.goals[rng.randrange(len(lib.goals))]
     tree = _sample_tree(lib, goal, rng, budget=8 * max(1, len(lib.nonterminals)))
@@ -136,11 +138,11 @@ def _sample_tree(lib: PlanLibrary, sym: int, rng: random.Random, budget: int,
         return _SimNode(sym, None, (), frozenset([leaf_id]))
     _counter[0] += 1
     if _counter[0] > budget:
-        raise ValueError("plan sampling exceeded expansion budget "
-                         "(is the library heavily recursive?)")
+        raise LibraryError("plan sampling exceeded expansion budget "
+                           "(is the library heavily recursive?)")
     rules = lib.rules_for(sym)
     if not rules:
-        raise ValueError(f"nonterminal {lib.name(sym)!r} has no rules")
+        raise LibraryError(f"nonterminal {lib.name(sym)!r} has no rules")
     r = rng.random() * sum(rule.prob for rule in rules)
     acc = 0.0
     chosen = rules[-1]

@@ -25,7 +25,7 @@ from .trees import (
     Hypothesis,
     Path,
     PlanNode,
-    frontier_entries,
+    enabled_frontier,
     open_node,
     realized_leaf,
     try_expand,
@@ -146,10 +146,12 @@ class PhattEngine:
         return tuple(lt for g in self.lib.goals for lt in self.trees_from(g, target))
 
     def frontier(self, plan: PlanNode) -> tuple[tuple[Path, int], ...]:
-        """:func:`~planrec.trees.frontier_entries` of a plan, memoized."""
+        """:func:`~planrec.trees.enabled_frontier` of a plan, its enabled
+        ``(path, symbol)`` pairs; memoized, since the hypotheses of a step
+        share most of their plans."""
         entries = self._frontier_memo.get(plan)
         if entries is None:
-            entries = self._frontier_memo[plan] = frontier_entries(plan)
+            entries = self._frontier_memo[plan] = enabled_frontier(plan)
         return entries
 
     def grafted(self, root_sym: int, target: PlanNode) -> tuple[PlanNode, ...]:

@@ -5,14 +5,17 @@ each one rule over the realized observation and open siblings. They are
 combined with the running local hypotheses four ways: realizing an open
 terminal leaf directly, fusing a fragment into a matching open node, joining
 a plan and a fragment under a freshly created common parent, or keeping the
-fragment as a standalone plan. Local hypotheses never grow paths toward the
-goals; on demand, the top-down compiler replays their plans (in creation
-order) through :meth:`PhattEngine.advance`, the modified-PHATT step that
-PHATT runs with a realized leaf as the target and the compiler runs with
-each plan, grafted into goal-rooted leftmost trees. A local's plans stay in
-creation order, ascending smallest timestamp, unsorted: a standalone fragment
-is appended holding the newest observation, and the other three combinations
-keep the smallest timestamp of the plan they replace.
+fragment as a standalone plan. The first two are one fusion loop, of the
+realized leaf or of a fragment, over a plan's enabled frontier; a step reads
+that frontier once per (hypothesis, plan) and hands it to both. Local
+hypotheses never grow paths toward the goals; on demand, the top-down
+compiler replays their plans (in creation order) through
+:meth:`PhattEngine.advance`, the modified-PHATT step that PHATT runs with a
+realized leaf as the target and the compiler runs with each plan, grafted
+into goal-rooted leftmost trees. A local's plans stay in creation order,
+ascending smallest timestamp, unsorted: a standalone fragment is appended
+holding the newest observation, and the other three combinations keep the
+smallest timestamp of the plan they replace.
 
 A joined local, one holding a plan of height above 1, usually compiles to
 nothing its split does not: the split keeps only the local's fragments, each
@@ -36,7 +39,6 @@ from .trees import (
     EMPTY_HYPOTHESIS,
     Hypothesis,
     PlanNode,
-    frontier_entries,
     open_node,
     realized_leaf,
     try_expand,
@@ -110,44 +112,42 @@ def sibling_slots(lib: PlanLibrary, sym: int
 # ---------------------------------------------------------------------------
 
 
-def combine_directly(lib: PlanLibrary, h: Hypothesis, obs: int, ts: int,
-                     counter: CombinationCounter | None = None,
-                     frontier=frontier_entries) -> list[Hypothesis]:
-    """Realize enabled open terminal leaves labeled ``obs`` at ``ts``;
-    ``frontier(plan)`` lists a plan's enabled (path, symbol) pairs."""
+def _fuse_at_frontier(lib: PlanLibrary, h: Hypothesis, node: PlanNode,
+                      counter: CombinationCounter, frontiers) -> list[Hypothesis]:
+    """Fuse ``node`` into every enabled open node of ``h`` carrying its root
+    symbol; ``frontiers[i]`` holds plan ``i``'s enabled (path, symbol)
+    pairs."""
     out = []
-    for pi, p in enumerate(h.plans):
-        for path, sym in frontier(p):
-            if sym != obs:
+    sym = node.symbol
+    for pi, (p, entries) in enumerate(zip(h.plans, frontiers)):
+        for path, open_sym in entries:
+            if open_sym != sym:
                 continue
-            if counter is not None:
-                counter.n += 1
-            fused = try_fuse(lib, p, path, realized_leaf(lib, obs, ts))
+            counter.n += 1
+            fused = try_fuse(lib, p, path, node)
             if fused is not None:
                 out.append(h.with_replaced(pi, fused))
     return out
+
+
+def combine_directly(lib: PlanLibrary, h: Hypothesis, leaf: PlanNode,
+                     counter: CombinationCounter, frontiers) -> list[Hypothesis]:
+    """Realize the enabled open terminal leaves of ``h`` labeled like
+    ``leaf``, the observation's realized leaf; ``frontiers`` as for
+    :func:`combine_as_child`."""
+    return _fuse_at_frontier(lib, h, leaf, counter, frontiers)
 
 
 def combine_as_child(lib: PlanLibrary, h: Hypothesis, f: PlanNode,
-                     counter: CombinationCounter | None = None,
-                     frontier=frontier_entries) -> list[Hypothesis]:
-    """Fuse the fragment into enabled open nodes matching its root symbol."""
-    out = []
-    root_sym = f.symbol
-    for pi, p in enumerate(h.plans):
-        for path, sym in frontier(p):
-            if sym != root_sym:
-                continue
-            if counter is not None:
-                counter.n += 1
-            fused = try_fuse(lib, p, path, f)
-            if fused is not None:
-                out.append(h.with_replaced(pi, fused))
-    return out
+                     counter: CombinationCounter, frontiers) -> list[Hypothesis]:
+    """Fuse the fragment into the enabled open nodes of ``h`` matching its
+    root symbol; ``frontiers[i]`` is :meth:`PhattEngine.frontier` of plan
+    ``i``, read once per hypothesis for every combiner of the step."""
+    return _fuse_at_frontier(lib, h, f, counter, frontiers)
 
 
 def combine_as_sibling(lib: PlanLibrary, h: Hypothesis, f: PlanNode, slots: dict,
-                       counter: CombinationCounter | None = None) -> list[Hypothesis]:
+                       counter: CombinationCounter) -> list[Hypothesis]:
     """Join a plan of ``h`` and the fragment under a new common parent.
 
     ``slots``, the :func:`sibling_slots` table of the fragment's root
@@ -160,8 +160,7 @@ def combine_as_sibling(lib: PlanLibrary, h: Hypothesis, f: PlanNode, slots: dict
     out = []
     for pi, p in enumerate(h.plans):
         for rule, i, j, opens in slots.get(p.symbol, ()):
-            if counter is not None:
-                counter.n += 1
+            counter.n += 1
             children = list(opens)
             children[i] = p
             children[j] = f
@@ -171,11 +170,10 @@ def combine_as_sibling(lib: PlanLibrary, h: Hypothesis, f: PlanNode, slots: dict
     return out
 
 
-def combine_independently(lib: PlanLibrary, h: Hypothesis, f: PlanNode,
-                          counter: CombinationCounter | None = None) -> Hypothesis:
+def combine_independently(h: Hypothesis, f: PlanNode,
+                          counter: CombinationCounter) -> Hypothesis:
     """Append the fragment to the hypothesis as a standalone plan."""
-    if counter is not None:
-        counter.n += 1
+    counter.n += 1
     return h.with_plan(f)
 
 
@@ -205,6 +203,9 @@ class SlimEngine:
     def step(self, hyps: tuple[Hypothesis, ...], obs: int, ts: int) -> tuple[Hypothesis, ...]:
         """Combine observation ``obs`` (step ``ts``) with every local hypothesis
         through all four functions, keeping one hypothesis per plan tuple.
+        The realized leaf is built once per step, and each plan's enabled
+        frontier is read once per hypothesis, for the direct and child
+        combinations of every fragment.
 
         The result keeps the order in which the hypotheses were first built,
         which the input order fixes; :func:`k_best`, the top-down compile and
@@ -214,17 +215,19 @@ class SlimEngine:
             raise ObservationError(ts, lib.name(obs), "is not a terminal")
         counter, frontier = self.counter, self._phatt.frontier
         out: dict[tuple[PlanNode, ...], Hypothesis] = {}
+        leaf = realized_leaf(lib, obs, ts)
         fragments = create_fragments(lib, obs, ts)
         slots = [sibling_slots(lib, f.symbol) for f in fragments]
         for h in hyps:
-            for cand in combine_directly(lib, h, obs, ts, counter, frontier):
+            frontiers = [frontier(p) for p in h.plans]
+            for cand in combine_directly(lib, h, leaf, counter, frontiers):
                 _merge(out, cand)
             for f, f_slots in zip(fragments, slots):
-                for cand in combine_as_child(lib, h, f, counter, frontier):
+                for cand in combine_as_child(lib, h, f, counter, frontiers):
                     _merge(out, cand)
                 for cand in combine_as_sibling(lib, h, f, f_slots, counter):
                     _merge(out, cand)
-                _merge(out, combine_independently(lib, h, f, counter))
+                _merge(out, combine_independently(h, f, counter))
         if not out:
             raise RecognitionFailure(ts, lib.name(obs))
         return tuple(out.values())

@@ -27,14 +27,6 @@ from .grammar import PlanLibrary, Rule
 Path = tuple[int, ...]
 
 
-class FusionError(ValueError):
-    """Fusion at the requested node is not possible."""
-
-
-class OrderingViolation(FusionError):
-    pass
-
-
 class PlanNode:
     """One node of a plan tree; a plan is represented by its root node.
 
@@ -143,36 +135,20 @@ def try_expand(lib: PlanLibrary, rule: Rule, children: tuple[PlanNode, ...]) -> 
                     weight, height + 1, open_count, canon)
 
 
-def expand(lib: PlanLibrary, rule: Rule, children: tuple[PlanNode, ...]) -> PlanNode:
-    """Like :func:`try_expand` but raises :class:`OrderingViolation`."""
-    node = try_expand(lib, rule, children)
-    if node is None:
-        raise OrderingViolation(
-            f"children violate ordering constraints of rule {rule.idx}"
-        )
-    return node
-
-
-def node_at(root: PlanNode, path: Path) -> PlanNode:
-    node = root
-    for i in path:
-        node = node.children[i]
-    return node
-
-
-def enabled_frontier(root: PlanNode) -> tuple[Path, ...]:
-    """Paths of all open nodes whose ordering predecessors are all complete.
+def enabled_frontier(root: PlanNode) -> tuple[tuple[Path, int], ...]:
+    """``(path, symbol)`` of every open node whose ordering predecessors are
+    all complete, in tree order.
 
     These are the nodes eligible to receive the next observation: at every
     ancestor rule, every position that must precede the node's branch has a
     complete subtree.
     """
-    out: list[Path] = []
+    out: list[tuple[Path, int]] = []
 
     def visit(node: PlanNode, path: Path):
         if node.rule is None:
             if node.ts is None:
-                out.append(path)
+                out.append((path, node.symbol))
             return
         if not node.open_count:
             return
@@ -185,11 +161,6 @@ def enabled_frontier(root: PlanNode) -> tuple[Path, ...]:
 
     visit(root, ())
     return tuple(out)
-
-
-def frontier_entries(root: PlanNode) -> tuple[tuple[Path, int], ...]:
-    """The :func:`enabled_frontier` paths paired with their nodes' symbols."""
-    return tuple((path, node_at(root, path).symbol) for path in enabled_frontier(root))
 
 
 def try_fuse(lib: PlanLibrary, root: PlanNode, path: Path, sub: PlanNode) -> PlanNode | None:
@@ -342,7 +313,10 @@ def _parse_node(lib: PlanLibrary, text: str) -> tuple[PlanNode, str]:
                 break
             raise ValueError(f"expected ' ' or ')' at {rest[:30]!r}")
         rule = _find_rule(lib, sym, tuple(c.symbol for c in children), rule_idx)
-        return expand(lib, rule, tuple(children)), rest
+        node = try_expand(lib, rule, tuple(children))
+        if node is None:
+            raise ValueError(f"children violate ordering constraints of rule {rule.idx}")
+        return node, rest
     raise ValueError(f"expected '?', '@' or '(' at {rest[:30]!r}")
 
 

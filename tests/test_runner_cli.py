@@ -354,6 +354,8 @@ def test_cli_recognize_rejects_bad_values_without_traceback(workspace, capsys, f
 @pytest.mark.parametrize("flags", [
     ["--k-list", "0,abc"], ["--k-list", "100,-1"], ["--max-depth", "-1"],
     ["--algorithms", "foo"], ["--algorithms", "phatt,foo"],
+    ["--k-list", ""], ["--k-list", ","], ["--k-list", "0,0"], ["--k-list", "all,100,all"],
+    ["--algorithms", ""], ["--algorithms", ","], ["--algorithms", "slim,phatt,slim"],
 ])
 def test_cli_bench_rejects_bad_values_without_traceback(workspace, capsys, flags):
     tmp, lib_path, obs_dir = workspace
@@ -393,6 +395,24 @@ def test_cli_simulate_rejects_bad_count_without_traceback(workspace, capsys, cou
     assert exit_info.value.code == 2
     err = capsys.readouterr().err
     assert "argument --count: invalid" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("library, message", [
+    ("terminals: a\nnonterminals: G\ngoals: G\n"
+     "rule: G -> G G | | 0.9\nrule: G -> a | | 0.1\n", "exceeded expansion budget"),
+    ("terminals: a\nnonterminals: X\ngoals: X\n", "nonterminal 'X' has no rules"),
+], ids=["recursive", "rule-less-goal"])
+def test_cli_simulate_unsampleable_library_is_a_library_error(tmp_path, capsys,
+                                                               library, message):
+    lib_path = tmp_path / "lib.txt"
+    lib_path.write_text(library)
+    out = tmp_path / "sims"
+    code = main(["simulate", "--library", str(lib_path), "--count", "2", "--out", str(out)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "library error: " in err and message in err
     assert "Traceback" not in err
     assert not out.exists()
 

@@ -49,6 +49,10 @@ def test_run_paper_benchmark_rejects_unknown_algorithm(tmp_path, algorithms):
 @pytest.mark.parametrize("args, message", [
     (["--and-branch", "1"], "branch factors must be >= 2"),
     (["--instances", "1,x"], "argument --instances: invalid"),
+    (["--k-list", ""], "argument --k-list: invalid"),
+    (["--k-list", "0,0"], "argument --k-list: invalid"),
+    (["--algorithms", ","], "argument --algorithms: invalid"),
+    (["--algorithms", "phatt,phatt"], "argument --algorithms: invalid"),
 ])
 def test_run_paper_benchmark_rejects_bad_values(tmp_path, args, message):
     done = run_script("run_paper_benchmark.py",

@@ -21,9 +21,11 @@ from planrec.slim import (
 from planrec.trees import (
     EMPTY_HYPOTHESIS,
     Hypothesis,
+    enabled_frontier,
     open_node,
     parse_hypothesis,
     parse_plan,
+    realized_leaf,
     try_expand,
 )
 
@@ -42,6 +44,12 @@ def bottom_up(lib, names):
 
 def canons(hyps):
     return {h.canon for h in hyps}
+
+
+def frontiers(h):
+    """Each plan's enabled frontier, as :meth:`SlimEngine.step` hands it to
+    the direct and child combiners."""
+    return [enabled_frontier(p) for p in h.plans]
 
 
 # ---------------------------------------------------------------------------
@@ -110,13 +118,15 @@ def test_combine_directly_realizes_terminal_leaf():
         "rule: X -> A b C | (1,2) | 1.0\nrule: A -> a | | 1.0\nrule: C -> c | | 1.0"
     )
     h = Hypothesis.build((parse_plan(lib, "X(A(a@1) b? C?)"),))
-    out = combine_directly(lib, h, lib.sym("b"), 2)
+    out = combine_directly(lib, h, realized_leaf(lib, lib.sym("b"), 2),
+                           CombinationCounter(), frontiers(h))
     assert canons(out) == {"X(A(a@1) b@2 C?)"}
 
 
 def test_combine_directly_no_match(lib):
     h = Hypothesis.build((parse_plan(lib, "A(a@1)"),))
-    assert combine_directly(lib, h, lib.sym("c"), 2) == []
+    assert combine_directly(lib, h, realized_leaf(lib, lib.sym("c"), 2),
+                            CombinationCounter(), frontiers(h)) == []
 
 
 def test_combine_directly_respects_enablement():
@@ -125,34 +135,36 @@ def test_combine_directly_respects_enablement():
         "rule: X -> A b | (1,2) | 1.0\nrule: A -> a | | 1.0"
     )
     blocked = Hypothesis.build((parse_plan(lib, "X(A? b?)"),))
-    assert combine_directly(lib, blocked, lib.sym("b"), 1) == []
+    assert combine_directly(lib, blocked, realized_leaf(lib, lib.sym("b"), 1),
+                            CombinationCounter(), frontiers(blocked)) == []
 
 
 def test_combine_as_child_fig_example(lib):
     h2 = parse_hypothesis(lib, "X(A(a@1) B? C(c@2))")
     (frag,) = create_fragments(lib, lib.sym("b"), 3)
-    out = combine_as_child(lib, h2, frag)
+    out = combine_as_child(lib, h2, frag, CombinationCounter(), frontiers(h2))
     assert canons(out) == {"X(A(a@1) B(b@3) C(c@2))"}
 
 
 def test_combine_as_child_blocked_by_predecessor(lib):
     h = parse_hypothesis(lib, "X(A? B? C(c@1))")
     (frag,) = create_fragments(lib, lib.sym("b"), 2)
-    assert combine_as_child(lib, h, frag) == []
+    assert combine_as_child(lib, h, frag, CombinationCounter(), frontiers(h)) == []
 
 
 def test_combine_as_child_symbol_mismatch(lib):
     h = parse_hypothesis(lib, "X(A? B? C?)")
     (frag,) = create_fragments(lib, lib.sym("c"), 1)  # C-rooted
     # enabled opens are A and C; only C matches and accepts the fragment
-    out = combine_as_child(lib, h, frag)
+    out = combine_as_child(lib, h, frag, CombinationCounter(), frontiers(h))
     assert canons(out) == {"X(A? B? C(c@1))"}
 
 
 def test_combine_as_sibling_fig_example(lib):
     h = parse_hypothesis(lib, "A(a@1)")
     (frag,) = create_fragments(lib, lib.sym("c"), 2)
-    out = combine_as_sibling(lib, h, frag, sibling_slots(lib, frag.symbol))
+    out = combine_as_sibling(lib, h, frag, sibling_slots(lib, frag.symbol),
+                             CombinationCounter())
     assert canons(out) == {"X(A(a@1) B? C(c@2))"}
 
 
@@ -160,13 +172,15 @@ def test_combine_as_sibling_rejects_ordering_violation(lib):
     h = parse_hypothesis(lib, "C(c@1)")
     (frag,) = create_fragments(lib, lib.sym("b"), 2)
     # candidate X(A? B(b@2) C(c@1)) breaks (A before B)
-    assert combine_as_sibling(lib, h, frag, sibling_slots(lib, frag.symbol)) == []
+    assert combine_as_sibling(lib, h, frag, sibling_slots(lib, frag.symbol),
+                              CombinationCounter()) == []
 
 
 def test_combine_as_sibling_valid_pair(lib):
     h = parse_hypothesis(lib, "A(a@1)")
     (frag,) = create_fragments(lib, lib.sym("b"), 2)
-    out = combine_as_sibling(lib, h, frag, sibling_slots(lib, frag.symbol))
+    out = combine_as_sibling(lib, h, frag, sibling_slots(lib, frag.symbol),
+                             CombinationCounter())
     assert canons(out) == {"X(A(a@1) B(b@2) C?)"}
 
 
@@ -253,12 +267,13 @@ def test_sibling_slots_reproduce_fragment_loop_generated(params, seeds):
 def test_combine_independently_examples(lib):
     h = parse_hypothesis(lib, "A(a@1)")
     (frag,) = create_fragments(lib, lib.sym("c"), 2)
-    h1 = combine_independently(lib, h, frag)
+    h1 = combine_independently(h, frag, CombinationCounter())
     assert h1.canon == "A(a@1);C(c@2)"
     (frag_b,) = create_fragments(lib, lib.sym("b"), 3)
-    h2 = combine_independently(lib, h1, frag_b)
+    h2 = combine_independently(h1, frag_b, CombinationCounter())
     assert h2.canon == "A(a@1);C(c@2);B(b@3)"
-    first = combine_independently(lib, EMPTY_HYPOTHESIS, create_fragments(lib, lib.sym("a"), 1)[0])
+    first = combine_independently(EMPTY_HYPOTHESIS, create_fragments(lib, lib.sym("a"), 1)[0],
+                                  CombinationCounter())
     assert first.canon == "A(a@1)"
 
 
@@ -315,12 +330,13 @@ def test_fragment_timestamp_law(lib):
     # after a sibling fusion the plan's min timestamp is the min of parts
     h = parse_hypothesis(lib, "A(a@1)")
     (frag,) = create_fragments(lib, lib.sym("c"), 2)
-    (out,) = combine_as_sibling(lib, h, frag, sibling_slots(lib, frag.symbol))
+    (out,) = combine_as_sibling(lib, h, frag, sibling_slots(lib, frag.symbol),
+                                CombinationCounter())
     assert out.plans[0].min_ts == 1
     h_rev = parse_hypothesis(lib, "C(c@1)")
     (frag_a,) = create_fragments(lib, lib.sym("a"), 2)
     (out_rev,) = combine_as_sibling(lib, h_rev, frag_a,
-                                    sibling_slots(lib, frag_a.symbol))
+                                    sibling_slots(lib, frag_a.symbol), CombinationCounter())
     assert out_rev.plans[0].min_ts == 1
 
 
@@ -745,6 +761,33 @@ def test_engines_build_plans_in_ascending_timestamp_order(case):
             (names, [h.canon for h in built if not plans_ascend(h)][:3])
         checked += len(built)
     assert checked > len(sequences)
+
+
+@pytest.mark.parametrize("params, seed, prefix", [(BENCH_A, 1000, None), (BENCH_B, 2055, 8)],
+                         ids=["benchmark-a-1000", "benchmark-b-2055-prefix"])
+def test_bottom_up_reads_each_plan_frontier_once(monkeypatch, params, seed, prefix):
+    # the direct and child combiners share one frontier read per
+    # (input hypothesis, plan), in input order, whatever the fragment count
+    lib = generate_domain(params)
+    names = simulate_agent(lib, seed)[:prefix]
+    read = []
+    frontier = PhattEngine.frontier
+
+    def counted(self, plan):
+        read.append(plan)
+        return frontier(self, plan)
+
+    monkeypatch.setattr(PhattEngine, "frontier", counted)
+    engine = SlimEngine(lib)
+    hyps = (EMPTY_HYPOTHESIS,)
+    fragments_seen = 0
+    for ts, name in enumerate(names, start=1):
+        read.clear()
+        fragments_seen = max(fragments_seen, len(create_fragments(lib, lib.sym(name), ts)))
+        step_in = hyps
+        hyps = engine.step(hyps, lib.sym(name), ts)
+        assert [id(p) for p in read] == [id(p) for h in step_in for p in h.plans], ts
+    assert fragments_seen > 1  # a step with several fragments was checked
 
 
 # ---------------------------------------------------------------------------
