@@ -104,7 +104,7 @@ def _trees_from(lib: PlanLibrary, sym: int, target: int, budget: int) -> list[Le
 
 @dataclass(frozen=True)
 class HypothesisSet:
-    """The hypotheses explaining observations ``1..step``, canonically ordered."""
+    """The hypotheses explaining observations ``1..step``, in the order built."""
 
     step: int
     hypotheses: tuple[Hypothesis, ...]
@@ -217,8 +217,7 @@ class PhattEngine:
         out = self.advance(hset.hypotheses, realized_leaf(lib, obs, n))
         if not out:
             raise RecognitionFailure(n, lib.name(obs))
-        ordered = tuple(sorted(out.values(), key=lambda h: h.canon))
-        return HypothesisSet(n, ordered)
+        return HypothesisSet(n, tuple(out.values()))
 
 
 _UNSEEN = object()

@@ -5,17 +5,18 @@ each one rule over the realized observation and open siblings. They are
 combined with the running local hypotheses four ways: realizing an open
 terminal leaf directly, fusing a fragment into a matching open node, joining
 a plan and a fragment under a freshly created common parent, or keeping the
-fragment as a standalone plan. The first two are one fusion loop, of the
-realized leaf or of a fragment, over a plan's enabled frontier; a step reads
-that frontier once per (hypothesis, plan) and hands it to both. Local
-hypotheses never grow paths toward the goals; on demand, the top-down
-compiler replays their plans (in creation order) through
-:meth:`PhattEngine.advance`, the modified-PHATT step that PHATT runs with a
-realized leaf as the target and the compiler runs with each plan, grafted
-into goal-rooted leftmost trees. A local's plans stay in creation order,
-ascending smallest timestamp, unsorted: a standalone fragment is appended
-holding the newest observation, and the other three combinations keep the
-smallest timestamp of the plan they replace.
+fragment as a standalone plan. The first three work on one plan and do not
+depend on the rest of its hypothesis, so a step works them out once for each
+distinct plan of its input and replays the results for every hypothesis
+holding that plan; the first two are one fusion loop, of the realized leaf or
+of a fragment, over the plan's enabled frontier. Local hypotheses never grow
+paths toward the goals; on demand, the top-down compiler replays their plans
+(in creation order) through :meth:`PhattEngine.advance`, the modified-PHATT
+step that PHATT runs with a realized leaf as the target and the compiler runs
+with each plan, grafted into goal-rooted leftmost trees. A local's plans stay
+in creation order, ascending smallest timestamp, unsorted: a standalone
+fragment is appended holding the newest observation, and the other three
+combinations keep the smallest timestamp of the plan they replace.
 
 A joined local, one holding a plan of height above 1, usually compiles to
 nothing its split does not: the split keeps only the local's fragments, each
@@ -109,46 +110,48 @@ def sibling_slots(lib: PlanLibrary, sym: int
 
 # ---------------------------------------------------------------------------
 # The four combination functions
+#
+# The first three take one plan and return the plans that replace it: they
+# do not depend on the hypothesis holding the plan, so :meth:`SlimEngine.step`
+# calls them once per distinct plan of a step and replays their results.
 # ---------------------------------------------------------------------------
 
 
-def _fuse_at_frontier(lib: PlanLibrary, h: Hypothesis, node: PlanNode,
-                      counter: CombinationCounter, frontiers) -> list[Hypothesis]:
-    """Fuse ``node`` into every enabled open node of ``h`` carrying its root
-    symbol; ``frontiers[i]`` holds plan ``i``'s enabled (path, symbol)
-    pairs."""
+def _fuse_at_frontier(lib: PlanLibrary, plan: PlanNode, node: PlanNode,
+                      counter: CombinationCounter, entries) -> list[PlanNode]:
+    """Fuse ``node`` into every open node of ``entries``, the plan's enabled
+    (path, symbol) pairs, that carries its root symbol."""
     out = []
     sym = node.symbol
-    for pi, (p, entries) in enumerate(zip(h.plans, frontiers)):
-        for path, open_sym in entries:
-            if open_sym != sym:
-                continue
-            counter.n += 1
-            fused = try_fuse(lib, p, path, node)
-            if fused is not None:
-                out.append(h.with_replaced(pi, fused))
+    for path, open_sym in entries:
+        if open_sym != sym:
+            continue
+        counter.n += 1
+        fused = try_fuse(lib, plan, path, node)
+        if fused is not None:
+            out.append(fused)
     return out
 
 
-def combine_directly(lib: PlanLibrary, h: Hypothesis, leaf: PlanNode,
-                     counter: CombinationCounter, frontiers) -> list[Hypothesis]:
-    """Realize the enabled open terminal leaves of ``h`` labeled like
-    ``leaf``, the observation's realized leaf; ``frontiers`` as for
+def combine_directly(lib: PlanLibrary, plan: PlanNode, leaf: PlanNode,
+                     counter: CombinationCounter, entries) -> list[PlanNode]:
+    """Realize the enabled open terminal leaves of ``plan`` labeled like
+    ``leaf``, the observation's realized leaf; ``entries`` as for
     :func:`combine_as_child`."""
-    return _fuse_at_frontier(lib, h, leaf, counter, frontiers)
+    return _fuse_at_frontier(lib, plan, leaf, counter, entries)
 
 
-def combine_as_child(lib: PlanLibrary, h: Hypothesis, f: PlanNode,
-                     counter: CombinationCounter, frontiers) -> list[Hypothesis]:
-    """Fuse the fragment into the enabled open nodes of ``h`` matching its
-    root symbol; ``frontiers[i]`` is :meth:`PhattEngine.frontier` of plan
-    ``i``, read once per hypothesis for every combiner of the step."""
-    return _fuse_at_frontier(lib, h, f, counter, frontiers)
+def combine_as_child(lib: PlanLibrary, plan: PlanNode, f: PlanNode,
+                     counter: CombinationCounter, entries) -> list[PlanNode]:
+    """Fuse the fragment into the enabled open nodes of ``plan`` matching its
+    root symbol; ``entries`` is :meth:`PhattEngine.frontier` of the plan,
+    which a step reads once per distinct plan for every combiner."""
+    return _fuse_at_frontier(lib, plan, f, counter, entries)
 
 
-def combine_as_sibling(lib: PlanLibrary, h: Hypothesis, f: PlanNode, slots: dict,
-                       counter: CombinationCounter) -> list[Hypothesis]:
-    """Join a plan of ``h`` and the fragment under a new common parent.
+def combine_as_sibling(lib: PlanLibrary, plan: PlanNode, f: PlanNode, slots: dict,
+                       counter: CombinationCounter) -> list[PlanNode]:
+    """Join ``plan`` and the fragment under a new common parent.
 
     ``slots``, the :func:`sibling_slots` table of the fragment's root
     symbol, supplies the candidate parents; the plan grafts at every other
@@ -158,15 +161,14 @@ def combine_as_sibling(lib: PlanLibrary, h: Hypothesis, f: PlanNode, slots: dict
     minimum over both constituents).
     """
     out = []
-    for pi, p in enumerate(h.plans):
-        for rule, i, j, opens in slots.get(p.symbol, ()):
-            counter.n += 1
-            children = list(opens)
-            children[i] = p
-            children[j] = f
-            parent = try_expand(lib, rule, tuple(children))
-            if parent is not None:
-                out.append(h.with_replaced(pi, parent))
+    for rule, i, j, opens in slots.get(plan.symbol, ()):
+        counter.n += 1
+        children = list(opens)
+        children[i] = plan
+        children[j] = f
+        parent = try_expand(lib, rule, tuple(children))
+        if parent is not None:
+            out.append(parent)
     return out
 
 
@@ -203,30 +205,63 @@ class SlimEngine:
     def step(self, hyps: tuple[Hypothesis, ...], obs: int, ts: int) -> tuple[Hypothesis, ...]:
         """Combine observation ``obs`` (step ``ts``) with every local hypothesis
         through all four functions, keeping one hypothesis per plan tuple.
-        The realized leaf is built once per step, and each plan's enabled
-        frontier is read once per hypothesis, for the direct and child
-        combinations of every fragment.
 
-        The result keeps the order in which the hypotheses were first built,
-        which the input order fixes; :func:`k_best`, the top-down compile and
+        The direct, child and sibling combinations of a plan do not depend on
+        the hypothesis holding it, so each distinct plan of ``hyps`` is
+        combined once, with its enabled frontier read once, and every
+        hypothesis holding it replays the resulting plans and adds their
+        attempts to the counter. The memo is keyed by ``id(plan)``: ``hyps``
+        keeps every plan alive for the whole step, so no id is reused.
+
+        Candidates are built in the order of a per-hypothesis loop: the
+        direct combinations over all plans, then for each fragment its child
+        fusions over all plans, its sibling joins over all plans and the
+        standalone fragment. The result keeps the order in which the
+        hypotheses were first built, which the input order fixes;
+        :func:`k_best`, the top-down compile and
         :func:`~planrec.runner.emit_hypotheses` rank for themselves."""
         lib = self.lib
         if not lib.is_terminal(obs):
             raise ObservationError(ts, lib.name(obs), "is not a terminal")
         counter, frontier = self.counter, self._phatt.frontier
-        out: dict[tuple[PlanNode, ...], Hypothesis] = {}
         leaf = realized_leaf(lib, obs, ts)
         fragments = create_fragments(lib, obs, ts)
         slots = [sibling_slots(lib, f.symbol) for f in fragments]
-        for h in hyps:
-            frontiers = [frontier(p) for p in h.plans]
-            for cand in combine_directly(lib, h, leaf, counter, frontiers):
-                _merge(out, cand)
+
+        def combine(plan: PlanNode):
+            # (attempts, groups): groups[0] holds the direct combinations,
+            # groups[2i + 1] and groups[2i + 2] fragment i's child fusions and
+            # sibling joins; None when every group is empty
+            plan_counter = CombinationCounter()
+            entries = frontier(plan)
+            groups = [combine_directly(lib, plan, leaf, plan_counter, entries)]
             for f, f_slots in zip(fragments, slots):
-                for cand in combine_as_child(lib, h, f, counter, frontiers):
-                    _merge(out, cand)
-                for cand in combine_as_sibling(lib, h, f, f_slots, counter):
-                    _merge(out, cand)
+                groups.append(combine_as_child(lib, plan, f, plan_counter, entries))
+                groups.append(combine_as_sibling(lib, plan, f, f_slots, plan_counter))
+            return plan_counter.n, (groups if any(groups) else None)
+
+        def replay(h: Hypothesis, found, g: int):
+            for pi, groups in found:
+                for node in groups[g]:
+                    _merge(out, h.with_replaced(pi, node))
+
+        memo: dict[int, tuple[int, list[list[PlanNode]] | None]] = {}
+        out: dict[tuple[PlanNode, ...], Hypothesis] = {}
+        for h in hyps:
+            found = []
+            for pi, plan in enumerate(h.plans):
+                result = memo.get(id(plan))
+                if result is None:
+                    result = memo[id(plan)] = combine(plan)
+                counter.n += result[0]
+                if result[1] is not None:
+                    found.append((pi, result[1]))
+            if found:
+                replay(h, found, 0)
+            for i, f in enumerate(fragments):
+                if found:
+                    replay(h, found, 2 * i + 1)
+                    replay(h, found, 2 * i + 2)
                 _merge(out, combine_independently(h, f, counter))
         if not out:
             raise RecognitionFailure(ts, lib.name(obs))

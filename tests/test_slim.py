@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -42,14 +44,9 @@ def bottom_up(lib, names):
     return hyps
 
 
-def canons(hyps):
-    return {h.canon for h in hyps}
-
-
-def frontiers(h):
-    """Each plan's enabled frontier, as :meth:`SlimEngine.step` hands it to
-    the direct and child combiners."""
-    return [enabled_frontier(p) for p in h.plans]
+def canons(items):
+    """Canonical forms of hypotheses or plans."""
+    return {x.canon for x in items}
 
 
 # ---------------------------------------------------------------------------
@@ -117,16 +114,16 @@ def test_combine_directly_realizes_terminal_leaf():
         "terminals: a b c\nnonterminals: X A C\ngoals: X\n"
         "rule: X -> A b C | (1,2) | 1.0\nrule: A -> a | | 1.0\nrule: C -> c | | 1.0"
     )
-    h = Hypothesis.build((parse_plan(lib, "X(A(a@1) b? C?)"),))
-    out = combine_directly(lib, h, realized_leaf(lib, lib.sym("b"), 2),
-                           CombinationCounter(), frontiers(h))
+    plan = parse_plan(lib, "X(A(a@1) b? C?)")
+    out = combine_directly(lib, plan, realized_leaf(lib, lib.sym("b"), 2),
+                           CombinationCounter(), enabled_frontier(plan))
     assert canons(out) == {"X(A(a@1) b@2 C?)"}
 
 
 def test_combine_directly_no_match(lib):
-    h = Hypothesis.build((parse_plan(lib, "A(a@1)"),))
-    assert combine_directly(lib, h, realized_leaf(lib, lib.sym("c"), 2),
-                            CombinationCounter(), frontiers(h)) == []
+    plan = parse_plan(lib, "A(a@1)")
+    assert combine_directly(lib, plan, realized_leaf(lib, lib.sym("c"), 2),
+                            CombinationCounter(), enabled_frontier(plan)) == []
 
 
 def test_combine_directly_respects_enablement():
@@ -134,52 +131,52 @@ def test_combine_directly_respects_enablement():
         "terminals: a b\nnonterminals: X A\ngoals: X\n"
         "rule: X -> A b | (1,2) | 1.0\nrule: A -> a | | 1.0"
     )
-    blocked = Hypothesis.build((parse_plan(lib, "X(A? b?)"),))
+    blocked = parse_plan(lib, "X(A? b?)")
     assert combine_directly(lib, blocked, realized_leaf(lib, lib.sym("b"), 1),
-                            CombinationCounter(), frontiers(blocked)) == []
+                            CombinationCounter(), enabled_frontier(blocked)) == []
 
 
 def test_combine_as_child_fig_example(lib):
-    h2 = parse_hypothesis(lib, "X(A(a@1) B? C(c@2))")
+    plan = parse_plan(lib, "X(A(a@1) B? C(c@2))")
     (frag,) = create_fragments(lib, lib.sym("b"), 3)
-    out = combine_as_child(lib, h2, frag, CombinationCounter(), frontiers(h2))
+    out = combine_as_child(lib, plan, frag, CombinationCounter(), enabled_frontier(plan))
     assert canons(out) == {"X(A(a@1) B(b@3) C(c@2))"}
 
 
 def test_combine_as_child_blocked_by_predecessor(lib):
-    h = parse_hypothesis(lib, "X(A? B? C(c@1))")
+    plan = parse_plan(lib, "X(A? B? C(c@1))")
     (frag,) = create_fragments(lib, lib.sym("b"), 2)
-    assert combine_as_child(lib, h, frag, CombinationCounter(), frontiers(h)) == []
+    assert combine_as_child(lib, plan, frag, CombinationCounter(), enabled_frontier(plan)) == []
 
 
 def test_combine_as_child_symbol_mismatch(lib):
-    h = parse_hypothesis(lib, "X(A? B? C?)")
+    plan = parse_plan(lib, "X(A? B? C?)")
     (frag,) = create_fragments(lib, lib.sym("c"), 1)  # C-rooted
     # enabled opens are A and C; only C matches and accepts the fragment
-    out = combine_as_child(lib, h, frag, CombinationCounter(), frontiers(h))
+    out = combine_as_child(lib, plan, frag, CombinationCounter(), enabled_frontier(plan))
     assert canons(out) == {"X(A? B? C(c@1))"}
 
 
 def test_combine_as_sibling_fig_example(lib):
-    h = parse_hypothesis(lib, "A(a@1)")
+    plan = parse_plan(lib, "A(a@1)")
     (frag,) = create_fragments(lib, lib.sym("c"), 2)
-    out = combine_as_sibling(lib, h, frag, sibling_slots(lib, frag.symbol),
+    out = combine_as_sibling(lib, plan, frag, sibling_slots(lib, frag.symbol),
                              CombinationCounter())
     assert canons(out) == {"X(A(a@1) B? C(c@2))"}
 
 
 def test_combine_as_sibling_rejects_ordering_violation(lib):
-    h = parse_hypothesis(lib, "C(c@1)")
+    plan = parse_plan(lib, "C(c@1)")
     (frag,) = create_fragments(lib, lib.sym("b"), 2)
     # candidate X(A? B(b@2) C(c@1)) breaks (A before B)
-    assert combine_as_sibling(lib, h, frag, sibling_slots(lib, frag.symbol),
+    assert combine_as_sibling(lib, plan, frag, sibling_slots(lib, frag.symbol),
                               CombinationCounter()) == []
 
 
 def test_combine_as_sibling_valid_pair(lib):
-    h = parse_hypothesis(lib, "A(a@1)")
+    plan = parse_plan(lib, "A(a@1)")
     (frag,) = create_fragments(lib, lib.sym("b"), 2)
-    out = combine_as_sibling(lib, h, frag, sibling_slots(lib, frag.symbol),
+    out = combine_as_sibling(lib, plan, frag, sibling_slots(lib, frag.symbol),
                              CombinationCounter())
     assert canons(out) == {"X(A(a@1) B(b@2) C?)"}
 
@@ -194,23 +191,22 @@ def generalized_fragments(lib, sym):
             for j, s in enumerate(rule.rhs) if s == sym]
 
 
-def sibling_reference(lib, h, f, counter):
+def sibling_reference(lib, p, f, counter):
     """The sibling loop over generalized fragments that the slot table replaces."""
     out = []
-    for pi, p in enumerate(h.plans):
-        for rule, j in generalized_fragments(lib, f.symbol):
-            rhs = rule.rhs
-            for i in range(len(rhs)):
-                if i == j or rhs[i] != p.symbol:
-                    continue
-                counter.n += 1
-                children = tuple(
-                    p if c == i else (f if c == j else open_node(lib, s))
-                    for c, s in enumerate(rhs)
-                )
-                parent = try_expand(lib, rule, children)
-                if parent is not None:
-                    out.append(h.with_replaced(pi, parent))
+    for rule, j in generalized_fragments(lib, f.symbol):
+        rhs = rule.rhs
+        for i in range(len(rhs)):
+            if i == j or rhs[i] != p.symbol:
+                continue
+            counter.n += 1
+            children = tuple(
+                p if c == i else (f if c == j else open_node(lib, s))
+                for c, s in enumerate(rhs)
+            )
+            parent = try_expand(lib, rule, children)
+            if parent is not None:
+                out.append(parent)
     return out
 
 
@@ -223,14 +219,15 @@ def assert_sibling_slots_match_reference(lib, sequences):
             obs = lib.sym(name)
             for f in create_fragments(lib, obs, ts):
                 for h in hyps:
-                    got_n, want_n = CombinationCounter(), CombinationCounter()
-                    slots = sibling_slots(lib, f.symbol)
-                    got = combine_as_sibling(lib, h, f, slots, got_n)
-                    want = sibling_reference(lib, h, f, want_n)
-                    assert [(c.canon, c.weight) for c in got] == \
-                        [(c.canon, c.weight) for c in want], (names, ts, h.canon)
-                    assert got_n.n == want_n.n
-                    checked += got_n.n
+                    for p in h.plans:
+                        got_n, want_n = CombinationCounter(), CombinationCounter()
+                        slots = sibling_slots(lib, f.symbol)
+                        got = combine_as_sibling(lib, p, f, slots, got_n)
+                        want = sibling_reference(lib, p, f, want_n)
+                        assert [(c.canon, c.weight) for c in got] == \
+                            [(c.canon, c.weight) for c in want], (names, ts, h.canon)
+                        assert got_n.n == want_n.n
+                        checked += got_n.n
             hyps = engine.step(hyps, obs, ts)
     return checked
 
@@ -328,16 +325,16 @@ def test_bottom_up_every_hypothesis_verified(lib):
 
 def test_fragment_timestamp_law(lib):
     # after a sibling fusion the plan's min timestamp is the min of parts
-    h = parse_hypothesis(lib, "A(a@1)")
+    plan = parse_plan(lib, "A(a@1)")
     (frag,) = create_fragments(lib, lib.sym("c"), 2)
-    (out,) = combine_as_sibling(lib, h, frag, sibling_slots(lib, frag.symbol),
+    (out,) = combine_as_sibling(lib, plan, frag, sibling_slots(lib, frag.symbol),
                                 CombinationCounter())
-    assert out.plans[0].min_ts == 1
-    h_rev = parse_hypothesis(lib, "C(c@1)")
+    assert out.min_ts == 1
+    plan_rev = parse_plan(lib, "C(c@1)")
     (frag_a,) = create_fragments(lib, lib.sym("a"), 2)
-    (out_rev,) = combine_as_sibling(lib, h_rev, frag_a,
+    (out_rev,) = combine_as_sibling(lib, plan_rev, frag_a,
                                     sibling_slots(lib, frag_a.symbol), CombinationCounter())
-    assert out_rev.plans[0].min_ts == 1
+    assert out_rev.min_ts == 1
 
 
 # ---------------------------------------------------------------------------
@@ -763,31 +760,103 @@ def test_engines_build_plans_in_ascending_timestamp_order(case):
     assert checked > len(sequences)
 
 
+# ---------------------------------------------------------------------------
+# The bottom-up step combines each distinct plan once
+# ---------------------------------------------------------------------------
+
+
 @pytest.mark.parametrize("params, seed, prefix", [(BENCH_A, 1000, None), (BENCH_B, 2055, 8)],
                          ids=["benchmark-a-1000", "benchmark-b-2055-prefix"])
-def test_bottom_up_reads_each_plan_frontier_once(monkeypatch, params, seed, prefix):
-    # the direct and child combiners share one frontier read per
-    # (input hypothesis, plan), in input order, whatever the fragment count
+def test_bottom_up_combines_each_distinct_plan_once(monkeypatch, params, seed, prefix):
+    # a plan's direct, child and sibling results are worked out once per step,
+    # however many input hypotheses hold it: its frontier is read once, in the
+    # order the plans are first seen, and feeding every hypothesis twice makes
+    # no further try_expand call while it doubles the attempts counted
     lib = generate_domain(params)
     names = simulate_agent(lib, seed)[:prefix]
     read = []
     frontier = PhattEngine.frontier
 
-    def counted(self, plan):
+    def counted_frontier(self, plan):
         read.append(plan)
         return frontier(self, plan)
 
-    monkeypatch.setattr(PhattEngine, "frontier", counted)
+    expands = [0]
+
+    def counted_expand(*args):
+        expands[0] += 1
+        return try_expand(*args)
+
+    monkeypatch.setattr(PhattEngine, "frontier", counted_frontier)
+    monkeypatch.setattr("planrec.trees.try_expand", counted_expand)
+    monkeypatch.setattr("planrec.slim.try_expand", counted_expand)
     engine = SlimEngine(lib)
     hyps = (EMPTY_HYPOTHESIS,)
-    fragments_seen = 0
+    fragments_seen = checked_expands = 0
     for ts, name in enumerate(names, start=1):
-        read.clear()
-        fragments_seen = max(fragments_seen, len(create_fragments(lib, lib.sym(name), ts)))
-        step_in = hyps
-        hyps = engine.step(hyps, lib.sym(name), ts)
-        assert [id(p) for p in read] == [id(p) for h in step_in for p in h.plans], ts
+        obs = lib.sym(name)
+        fragments_seen = max(fragments_seen, len(create_fragments(lib, obs, ts)))
+        distinct = list({id(p): p for h in hyps for p in h.plans}.values())
+        runs = []
+        for step_in in (hyps, hyps + hyps):
+            read.clear()
+            expands[0] = 0
+            before = engine.counter.n
+            step_out = engine.step(step_in, obs, ts)
+            runs.append((step_out, engine.counter.n - before, expands[0]))
+            assert [id(p) for p in read] == [id(p) for p in distinct], ts
+        (once, n_once, expands_once), (twice, n_twice, expands_twice) = runs
+        assert [h.canon for h in twice] == [h.canon for h in once], ts
+        assert n_twice == 2 * n_once, ts
+        assert expands_twice == expands_once, ts
+        checked_expands += expands_once
+        hyps = once
     assert fragments_seen > 1  # a step with several fragments was checked
+    assert checked_expands > 0
+
+
+# Per bottom-up step: the attempts counted and a digest of the ordered
+# (canon, repr(weight)) list of the locals it returns, recorded from the
+# per-hypothesis loop the per-plan memo replaced.
+BOTTOM_UP_STEPS = {
+    "benchmark-a-1000": [
+        (2, "ba384a889f37ac69"), (4, "55d1aa085452e3fb"), (4, "ea080a1e7a3a0352"),
+        (6, "b290edaf8d3993d9"), (15, "3987cd3a7d7f701b"), (35, "6ab44986c7a96cbc"),
+        (105, "258902bc85922137"), (210, "21bd7f8c6860f03f"), (70, "ce9c8e735eb726e6"),
+    ],
+    "benchmark-b-2055-prefix": [
+        (2, "4eab08369d8aba2f"), (5, "aadb33ec9459c60d"), (30, "55f7ab20ed14eac3"),
+        (60, "7945bc1aa92ae666"), (220, "ae426c4221fb32ab"), (1355, "06c316ed4f5948b8"),
+        (6600, "be39b0c7e27e42ce"), (28820, "46e9d91478e4728c"),
+    ],
+    # from step 5 on, some local takes both a child fusion and a sibling
+    # join of one fragment, so these digests pin the order of the two
+    "benchmark-b-2071": [
+        (2, "2ef244a1828b98bf"), (7, "dc5bd98792a068a3"), (16, "8acbaa999e9c381a"),
+        (23, "9709144d9cb6825a"), (61, "d9192d76b0aa8de3"), (170, "bee6430fb0001462"),
+        (258, "c22e0f0347a5ae28"), (1984, "b5c73ac0e1617bff"), (3003, "2e1e1bca3f822c63"),
+    ],
+}
+
+
+@pytest.mark.parametrize("params, seed, prefix, case",
+                         [(BENCH_A, 1000, None, "benchmark-a-1000"),
+                          (BENCH_B, 2055, 8, "benchmark-b-2055-prefix"),
+                          (BENCH_B, 2071, None, "benchmark-b-2071")],
+                         ids=["benchmark-a-1000", "benchmark-b-2055-prefix", "benchmark-b-2071"])
+def test_bottom_up_keeps_candidate_order_and_counts(params, seed, prefix, case):
+    lib = generate_domain(params)
+    names = simulate_agent(lib, seed)[:prefix]
+    engine = SlimEngine(lib)
+    hyps = (EMPTY_HYPOTHESIS,)
+    steps = []
+    for ts, name in enumerate(names, start=1):
+        before = engine.counter.n
+        hyps = engine.step(hyps, lib.sym(name), ts)
+        listing = "\n".join(f"{h.canon} {h.weight!r}" for h in hyps)
+        steps.append((engine.counter.n - before,
+                      hashlib.sha256(listing.encode()).hexdigest()[:16]))
+    assert steps == BOTTOM_UP_STEPS[case]
 
 
 # ---------------------------------------------------------------------------
