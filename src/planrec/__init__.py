@@ -39,6 +39,7 @@ from .slim import (
 from .trees import (
     EMPTY_HYPOTHESIS,
     Hypothesis,
+    NodeTable,
     PlanNode,
     enabled_frontier,
     open_node,

@@ -23,6 +23,7 @@ from .metrics import CombinationCounter
 from .trees import (
     EMPTY_HYPOTHESIS,
     Hypothesis,
+    NodeTable,
     Path,
     PlanNode,
     enabled_frontier,
@@ -84,19 +85,20 @@ class LeftmostTree:
     path: Path
 
 
-def _trees_from(lib: PlanLibrary, sym: int, target: int, budget: int) -> list[LeftmostTree]:
+def _trees_from(nodes: NodeTable, sym: int, target: int, budget: int) -> list[LeftmostTree]:
+    lib = nodes.lib
     res: list[LeftmostTree] = []
     if sym == target:
-        res.append(LeftmostTree(open_node(lib, sym), ()))
+        res.append(LeftmostTree(open_node(nodes, sym), ()))
     if budget > 0 and not lib.is_terminal(sym):
         for rule in lib.rules_for(sym):
             for pos in rule.free_positions:
-                for sub in _trees_from(lib, rule.rhs[pos], target, budget - 1):
+                for sub in _trees_from(nodes, rule.rhs[pos], target, budget - 1):
                     children = tuple(
-                        sub.root if i == pos else open_node(lib, s)
+                        sub.root if i == pos else open_node(nodes, s)
                         for i, s in enumerate(rule.rhs)
                     )
-                    node = try_expand(lib, rule, children)
+                    node = try_expand(nodes, rule, children)
                     # fresh trees carry no realized content; always consistent
                     res.append(LeftmostTree(node, (pos,) + sub.path))
     return res
@@ -115,10 +117,16 @@ class HypothesisSet:
 
 
 class PhattEngine:
-    """Stateful wrapper caching leftmost trees, grafts and frontiers.
+    """Stateful wrapper owning the engine's node table and caching leftmost
+    trees, grafts and frontiers.
 
-    The caches never affect results: :meth:`advance` and :meth:`step` are
-    pure functions of their arguments, whatever the engine has seen before.
+    ``nodes``, the engine's :class:`~planrec.trees.NodeTable`, builds every
+    node the engine makes, so equal structures are one object and the
+    hypotheses, memos and dedup keys compare plans by identity. It lives as
+    long as the engine. The caches never affect results: :meth:`advance`
+    and :meth:`step` are pure functions of their arguments, whatever the
+    engine has seen before, given arguments built from ``nodes`` (its own
+    results, or plans parsed with ``parse_hypothesis(engine.nodes, ...)``).
     """
 
     def __init__(self, lib: PlanLibrary, cfg: PhattConfig | None = None,
@@ -126,6 +134,7 @@ class PhattEngine:
         self.lib = lib
         self.cfg = cfg or PhattConfig.for_library(lib)
         self.counter = counter or CombinationCounter()
+        self.nodes = NodeTable(lib)
         self._tree_memo: dict[tuple[int, int], tuple[LeftmostTree, ...]] = {}
         self._frontier_memo: dict[PlanNode, tuple[tuple[Path, int], ...]] = {}
         self._graft_memo: dict[tuple[int, PlanNode], tuple[PlanNode, ...]] = {}
@@ -137,7 +146,7 @@ class PhattEngine:
         key = (root_sym, target)
         trees = self._tree_memo.get(key)
         if trees is None:
-            trees = tuple(_trees_from(self.lib, root_sym, target, self.cfg.max_depth))
+            trees = tuple(_trees_from(self.nodes, root_sym, target, self.cfg.max_depth))
             self._tree_memo[key] = trees
         return trees
 
@@ -168,7 +177,7 @@ class PhattEngine:
             else:
                 trees = self.trees_from(root_sym, target.symbol)
             plans = tuple(
-                try_fuse(self.lib, lt.root, lt.path, target) for lt in trees
+                try_fuse(self.nodes, lt.root, lt.path, target) for lt in trees
             )
             self._graft_memo[key] = plans
         return plans
@@ -177,12 +186,22 @@ class PhattEngine:
                 ) -> dict[tuple[PlanNode, ...], Hypothesis]:
         """One modified-PHATT step: weave ``target`` into every hypothesis,
         as a new goal-rooted plan or grafted at an enabled open node of one
-        of its plans. Returns the results keyed by plan tuple.
+        of its plans. Returns the results keyed by plan tuple, in the order
+        first built.
 
         The hypotheses share most of their plans, so the grafts of
         ``target`` (per frontier symbol) and each fusion (per plan, path and
-        graft) are computed once per call; every attempt still counts."""
-        lib = self.lib
+        graft) are computed once per call; every attempt still counts.
+
+        A new goal-rooted plan is stored without a dedup check, since such
+        an append can equal no other candidate of the call. The appended
+        plan holds ``target``'s observations and nothing else, and no input
+        hypothesis holds them; a graft puts them into a plan that also holds
+        older ones (every plan the engines build holds an observation). Two
+        appends are equal only when they share the input hypothesis and the
+        goal tree, and the input holds no duplicate. Grafts can collide, so
+        they go through :func:`_merge`."""
+        nodes = self.nodes
         prior = self.cfg.goal_prior
         counter = self.counter
         roots = self.grafted(-1, target)
@@ -192,7 +211,8 @@ class PhattEngine:
         for h in hyps:
             for plan in roots:  # a new goal-rooted plan
                 counter.n += 1
-                _merge(out, h.with_plan(plan, prior))
+                cand = h.with_plan(plan, prior)
+                out[cand.plans] = cand
             for pi, p in enumerate(h.plans):  # graft into an existing plan
                 for path, sym in self.frontier(p):
                     subs = subs_by_sym.get(sym)
@@ -203,7 +223,7 @@ class PhattEngine:
                         key = (p, path, sub)
                         fused = fused_memo.get(key, _UNSEEN)
                         if fused is _UNSEEN:
-                            fused = fused_memo[key] = try_fuse(lib, p, path, sub)
+                            fused = fused_memo[key] = try_fuse(nodes, p, path, sub)
                         if fused is not None:
                             _merge(out, h.with_replaced(pi, fused, prior))
         return out
@@ -214,7 +234,7 @@ class PhattEngine:
         n = hset.step + 1
         if not lib.is_terminal(obs):
             raise ObservationError(n, lib.name(obs), "is not a terminal")
-        out = self.advance(hset.hypotheses, realized_leaf(lib, obs, n))
+        out = self.advance(hset.hypotheses, realized_leaf(self.nodes, obs, n))
         if not out:
             raise RecognitionFailure(n, lib.name(obs))
         return HypothesisSet(n, tuple(out.values()))

@@ -35,10 +35,11 @@ from typing import Iterable
 
 from .grammar import ObservationError, PlanLibrary, Rule
 from .metrics import CombinationCounter
-from .phatt import _UNSEEN, PhattConfig, PhattEngine, RecognitionFailure, _merge
+from .phatt import PhattConfig, PhattEngine, RecognitionFailure, _merge
 from .trees import (
     EMPTY_HYPOTHESIS,
     Hypothesis,
+    NodeTable,
     PlanNode,
     open_node,
     realized_leaf,
@@ -67,7 +68,7 @@ class TopDownConfig(PhattConfig):
         return replace(super().for_library(lib, max_depth), k=k)
 
 
-def create_fragments(lib: PlanLibrary, obs: int, ts: int) -> tuple[PlanNode, ...]:
+def create_fragments(nodes: NodeTable, obs: int, ts: int) -> tuple[PlanNode, ...]:
     """The fragments of observation ``obs`` at ``ts``: depth-1 plan nodes,
     one per RHS occurrence of ``obs`` that can host it, with ``obs``
     realized there and every sibling open. Each root carries its ``rule``.
@@ -76,11 +77,11 @@ def create_fragments(lib: PlanLibrary, obs: int, ts: int) -> tuple[PlanNode, ...
     all unrealized at creation, and the rule's head must be reachable from
     some goal.
     """
-    leaf = realized_leaf(lib, obs, ts)
+    leaf = realized_leaf(nodes, obs, ts)
     return tuple(
-        try_expand(lib, rule, tuple(leaf if i == pos else open_node(lib, s)
-                                    for i, s in enumerate(rule.rhs)))
-        for rule, pos in _hosts(lib, obs) if not rule.preds[pos]
+        try_expand(nodes, rule, tuple(leaf if i == pos else open_node(nodes, s)
+                                      for i, s in enumerate(rule.rhs)))
+        for rule, pos in _hosts(nodes.lib, obs) if not rule.preds[pos]
     )
 
 
@@ -90,7 +91,7 @@ def _hosts(lib: PlanLibrary, sym: int) -> list[tuple[Rule, int]]:
     return [(rule, pos) for rule, pos in lib.containing(sym) if rule.lhs in lib.reachable]
 
 
-def sibling_slots(lib: PlanLibrary, sym: int
+def sibling_slots(nodes: NodeTable, sym: int
                   ) -> dict[int, tuple[tuple[Rule, int, int, tuple[PlanNode, ...]], ...]]:
     """Parent slots for joining a plan with a fragment rooted at ``sym``.
 
@@ -100,8 +101,8 @@ def sibling_slots(lib: PlanLibrary, sym: int
     order; ``opens`` holds the rule's open children.
     """
     table: dict[int, list] = {}
-    for rule, j in _hosts(lib, sym):
-        opens = tuple(open_node(lib, s) for s in rule.rhs)
+    for rule, j in _hosts(nodes.lib, sym):
+        opens = tuple(open_node(nodes, s) for s in rule.rhs)
         for i, s in enumerate(rule.rhs):
             if i != j:
                 table.setdefault(s, []).append((rule, i, j, opens))
@@ -117,7 +118,7 @@ def sibling_slots(lib: PlanLibrary, sym: int
 # ---------------------------------------------------------------------------
 
 
-def _fuse_at_frontier(lib: PlanLibrary, plan: PlanNode, node: PlanNode,
+def _fuse_at_frontier(nodes: NodeTable, plan: PlanNode, node: PlanNode,
                       counter: CombinationCounter, entries) -> list[PlanNode]:
     """Fuse ``node`` into every open node of ``entries``, the plan's enabled
     (path, symbol) pairs, that carries its root symbol."""
@@ -127,29 +128,29 @@ def _fuse_at_frontier(lib: PlanLibrary, plan: PlanNode, node: PlanNode,
         if open_sym != sym:
             continue
         counter.n += 1
-        fused = try_fuse(lib, plan, path, node)
+        fused = try_fuse(nodes, plan, path, node)
         if fused is not None:
             out.append(fused)
     return out
 
 
-def combine_directly(lib: PlanLibrary, plan: PlanNode, leaf: PlanNode,
+def combine_directly(nodes: NodeTable, plan: PlanNode, leaf: PlanNode,
                      counter: CombinationCounter, entries) -> list[PlanNode]:
     """Realize the enabled open terminal leaves of ``plan`` labeled like
     ``leaf``, the observation's realized leaf; ``entries`` as for
     :func:`combine_as_child`."""
-    return _fuse_at_frontier(lib, plan, leaf, counter, entries)
+    return _fuse_at_frontier(nodes, plan, leaf, counter, entries)
 
 
-def combine_as_child(lib: PlanLibrary, plan: PlanNode, f: PlanNode,
+def combine_as_child(nodes: NodeTable, plan: PlanNode, f: PlanNode,
                      counter: CombinationCounter, entries) -> list[PlanNode]:
     """Fuse the fragment into the enabled open nodes of ``plan`` matching its
     root symbol; ``entries`` is :meth:`PhattEngine.frontier` of the plan,
     which a step reads once per distinct plan for every combiner."""
-    return _fuse_at_frontier(lib, plan, f, counter, entries)
+    return _fuse_at_frontier(nodes, plan, f, counter, entries)
 
 
-def combine_as_sibling(lib: PlanLibrary, plan: PlanNode, f: PlanNode, slots: dict,
+def combine_as_sibling(nodes: NodeTable, plan: PlanNode, f: PlanNode, slots: dict,
                        counter: CombinationCounter) -> list[PlanNode]:
     """Join ``plan`` and the fragment under a new common parent.
 
@@ -166,7 +167,7 @@ def combine_as_sibling(lib: PlanLibrary, plan: PlanNode, f: PlanNode, slots: dic
         children = list(opens)
         children[i] = plan
         children[j] = f
-        parent = try_expand(lib, rule, tuple(children))
+        parent = try_expand(nodes, rule, tuple(children))
         if parent is not None:
             out.append(parent)
     return out
@@ -174,7 +175,15 @@ def combine_as_sibling(lib: PlanLibrary, plan: PlanNode, f: PlanNode, slots: dic
 
 def combine_independently(h: Hypothesis, f: PlanNode,
                           counter: CombinationCounter) -> Hypothesis:
-    """Append the fragment to the hypothesis as a standalone plan."""
+    """Append the fragment to the hypothesis as a standalone plan.
+
+    :meth:`SlimEngine.step` stores the result without a dedup check, since
+    it can equal no other candidate of its step. The fragment holds the
+    newest observation and nothing else, while the other three combinations
+    put that observation into a plan that also holds older ones (every plan
+    the engines build holds an observation). Two appends are equal only when
+    they share the input hypothesis and the fragment, and a step's input
+    holds no duplicate."""
     counter.n += 1
     return h.with_plan(f)
 
@@ -193,7 +202,11 @@ def k_best(hyps: Iterable[Hypothesis], k: int | None) -> list[Hypothesis]:
 
 
 class SlimEngine:
-    """Bottom-up recognition over a sequence plus on-demand compilation."""
+    """Bottom-up recognition over a sequence plus on-demand compilation.
+
+    The engine builds its nodes through ``nodes``, the node table of the
+    :class:`PhattEngine` its compiler runs, so the bottom-up locals and the
+    compiled hypotheses share one table."""
 
     def __init__(self, lib: PlanLibrary, cfg: TopDownConfig | None = None,
                  counter: CombinationCounter | None = None):
@@ -201,6 +214,7 @@ class SlimEngine:
         self.cfg = cfg or TopDownConfig.for_library(lib)
         self.counter = counter or CombinationCounter()
         self._phatt = PhattEngine(lib, self.cfg, self.counter)
+        self.nodes = self._phatt.nodes
 
     def step(self, hyps: tuple[Hypothesis, ...], obs: int, ts: int) -> tuple[Hypothesis, ...]:
         """Combine observation ``obs`` (step ``ts``) with every local hypothesis
@@ -210,23 +224,25 @@ class SlimEngine:
         the hypothesis holding it, so each distinct plan of ``hyps`` is
         combined once, with its enabled frontier read once, and every
         hypothesis holding it replays the resulting plans and adds their
-        attempts to the counter. The memo is keyed by ``id(plan)``: ``hyps``
-        keeps every plan alive for the whole step, so no id is reused.
+        attempts to the counter. ``hyps`` must come from this engine's
+        ``nodes`` (its own earlier steps, or parsed into ``nodes``), so the
+        memo, keyed by plan, finds every hypothesis holding a plan.
 
         Candidates are built in the order of a per-hypothesis loop: the
         direct combinations over all plans, then for each fragment its child
         fusions over all plans, its sibling joins over all plans and the
-        standalone fragment. The result keeps the order in which the
-        hypotheses were first built, which the input order fixes;
-        :func:`k_best`, the top-down compile and
+        standalone fragment. Standalone fragments are stored without a dedup
+        check (see :func:`combine_independently`). The result keeps the
+        order in which the hypotheses were first built, which the input
+        order fixes; :func:`k_best`, the top-down compile and
         :func:`~planrec.runner.emit_hypotheses` rank for themselves."""
-        lib = self.lib
+        lib, nodes = self.lib, self.nodes
         if not lib.is_terminal(obs):
             raise ObservationError(ts, lib.name(obs), "is not a terminal")
         counter, frontier = self.counter, self._phatt.frontier
-        leaf = realized_leaf(lib, obs, ts)
-        fragments = create_fragments(lib, obs, ts)
-        slots = [sibling_slots(lib, f.symbol) for f in fragments]
+        leaf = realized_leaf(nodes, obs, ts)
+        fragments = create_fragments(nodes, obs, ts)
+        slots = [sibling_slots(nodes, f.symbol) for f in fragments]
 
         def combine(plan: PlanNode):
             # (attempts, groups): groups[0] holds the direct combinations,
@@ -234,10 +250,10 @@ class SlimEngine:
             # sibling joins; None when every group is empty
             plan_counter = CombinationCounter()
             entries = frontier(plan)
-            groups = [combine_directly(lib, plan, leaf, plan_counter, entries)]
+            groups = [combine_directly(nodes, plan, leaf, plan_counter, entries)]
             for f, f_slots in zip(fragments, slots):
-                groups.append(combine_as_child(lib, plan, f, plan_counter, entries))
-                groups.append(combine_as_sibling(lib, plan, f, f_slots, plan_counter))
+                groups.append(combine_as_child(nodes, plan, f, plan_counter, entries))
+                groups.append(combine_as_sibling(nodes, plan, f, f_slots, plan_counter))
             return plan_counter.n, (groups if any(groups) else None)
 
         def replay(h: Hypothesis, found, g: int):
@@ -245,14 +261,14 @@ class SlimEngine:
                 for node in groups[g]:
                     _merge(out, h.with_replaced(pi, node))
 
-        memo: dict[int, tuple[int, list[list[PlanNode]] | None]] = {}
+        memo: dict[PlanNode, tuple[int, list[list[PlanNode]] | None]] = {}
         out: dict[tuple[PlanNode, ...], Hypothesis] = {}
         for h in hyps:
             found = []
             for pi, plan in enumerate(h.plans):
-                result = memo.get(id(plan))
+                result = memo.get(plan)
                 if result is None:
-                    result = memo[id(plan)] = combine(plan)
+                    result = memo[plan] = combine(plan)
                 counter.n += result[0]
                 if result[1] is not None:
                     found.append((pi, result[1]))
@@ -262,7 +278,8 @@ class SlimEngine:
                 if found:
                     replay(h, found, 2 * i + 1)
                     replay(h, found, 2 * i + 2)
-                _merge(out, combine_independently(h, f, counter))
+                cand = combine_independently(h, f, counter)
+                out[cand.plans] = cand
         if not out:
             raise RecognitionFailure(ts, lib.name(obs))
         return tuple(out.values())
@@ -303,23 +320,34 @@ class SlimEngine:
         ``k``. Without the guard the subset can fail: under ``P -> Q c`` a
         fragment ``P(Q? c@t)`` grows past depth 1 once a plan fuses into its
         ``Q``, so its leaf ``c`` is left out of the split.
+
+        The locals may come from another engine (a fresh engine compiling
+        one engine's locals). Plans from two tables that are equal in
+        structure are distinct objects and would both reach the output, so
+        every plan replayed is first re-interned in this engine's ``nodes``,
+        once per distinct plan object
+        (:meth:`~planrec.trees.NodeTable.adopt` returns an own plan as it
+        is). The split check compares the locals' plans as given, by
+        identity: that is structural equality for locals from one table,
+        and locals mixing tables can only miss a skip, never an output.
         """
         t0 = time.perf_counter_ns()
         selected = k_best(hyps, self.cfg.k)
         out: dict[tuple[PlanNode, ...], Hypothesis] = {}
         skip = self._skip_split_covered
         selected_plans: set[tuple[PlanNode, ...]] | None = None
-        fragments_memo: dict[int, list[PlanNode] | None] = {}
+        fragments_memo: dict[PlanNode, list[PlanNode]] = {}
+        adopt = self.nodes.adopt
+        own: dict[PlanNode, PlanNode] = {}  # each distinct plan, adopted once
 
         def split_selected(local: Hypothesis) -> bool:
             nonlocal selected_plans
             split: list[PlanNode] = []
             for plan in local.plans:
-                key = id(plan)  # every plan outlives the call
-                frags = fragments_memo.get(key, _UNSEEN)
-                if frags is _UNSEEN:
-                    frags = fragments_memo[key] = _fragments(plan)
+                frags = fragments_memo.get(plan)
                 if frags is None:
+                    frags = fragments_memo[plan] = _fragments(plan)
+                if not frags:
                     return False
                 split += frags
             if selected_plans is None:
@@ -331,12 +359,21 @@ class SlimEngine:
                           checked: bool):
             # ``checked``: the shared prefix holds a joined plan, so every
             # local here already passed the split check
-            groups: dict[PlanNode, list[Hypothesis]] = {}
+            by_plan: dict[PlanNode, list[Hypothesis]] = {}
             for local in locals_:
                 if len(local.plans) == depth:
                     out.update(states)
                 else:
-                    groups.setdefault(local.plans[depth], []).append(local)
+                    by_plan.setdefault(local.plans[depth], []).append(local)
+            groups: dict[PlanNode, list[Hypothesis]] = {}
+            for plan, group in by_plan.items():
+                target = own.get(plan)
+                if target is None:
+                    target = own[plan] = adopt(plan)
+                if target in groups:  # equal plans of two tables
+                    groups[target] += group
+                else:
+                    groups[target] = group
             for target, group in groups.items():
                 joined = target.height > 1
                 if skip and joined and not checked:
@@ -356,8 +393,8 @@ class SlimEngine:
 _MIN_TS = attrgetter("min_ts")
 
 
-def _fragments(plan: PlanNode) -> list[PlanNode] | None:
-    """The plan's depth-1 subtrees in tree order; None when one of them holds
+def _fragments(plan: PlanNode) -> list[PlanNode]:
+    """The plan's depth-1 subtrees in tree order; empty when one of them holds
     no observation or the plan itself is a bare node, since neither replays."""
     out: list[PlanNode] = []
 
@@ -367,7 +404,7 @@ def _fragments(plan: PlanNode) -> list[PlanNode] | None:
             return node.min_ts is not None
         return all(collect(child) for child in node.children if child.height)
 
-    return out if plan.height and collect(plan) else None
+    return out if plan.height and collect(plan) else []
 
 
 def _split_skip_sound(lib: PlanLibrary, max_depth: int) -> bool:

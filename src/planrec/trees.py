@@ -1,15 +1,19 @@
 """Derivation trees, hypotheses, fusion, and canonical serialization.
 
-Nodes are immutable. Every combination operation builds new nodes along the
+Nodes are immutable and hash-consed (Filliâtre & Conchon 2006, *Type-safe
+modular hash-consing*): every constructor goes through a :class:`NodeTable`,
+which hands back its one node of each structure. Within one table, equal
+structures are the same object, so nodes compare and hash by identity, and
+plan tuples, the hypotheses' deduplication key, hash and compare element by
+element at C speed. Every combination operation builds new nodes along the
 changed root-to-node path and shares everything else (persistent-tree
 semantics), so plans can be held by many hypotheses at once. The statistics a
 recognizer needs on every validity check (completeness, timestamp range,
-rule-probability product, open-frontier count) are computed once per node at
-construction.
+rule-probability product, open-frontier count) are computed once per node, when
+its table first builds it.
 
-Serialization grammar, used for output and as the canonical ordering key
-(hypotheses deduplicate on their plan tuples, kept in construction order,
-which hash and compare through the nodes' serializations)::
+Serialization grammar, used for output and as the canonical ordering key; a
+node's serialization is built on first read::
 
     node := name '?' | name '@' int | name '(' node (' ' node)* ')'
 
@@ -32,7 +36,12 @@ class PlanNode:
 
     Exactly one of three states holds: open frontier (``rule is None and
     ts is None``), realized leaf (``ts`` set, terminals only), or expanded
-    (``rule`` and ``children`` set, nonterminals only).
+    (``rule`` and ``children`` set, nonterminals only). Build nodes through a
+    :class:`NodeTable` (:func:`open_node`, :func:`realized_leaf`,
+    :func:`try_expand`): equality is identity, which matches structure only
+    among the nodes of one table. ``label`` is the serialization of an open
+    node or a leaf, and the head of an expanded node's (its name, with the
+    ``#<rule>`` marker where needed); ``canon`` is built from it on first read.
     """
 
     __slots__ = (
@@ -46,12 +55,12 @@ class PlanNode:
         "weight",
         "height",
         "open_count",
-        "canon",
-        "_hash",
+        "label",
+        "_canon",
     )
 
     def __init__(self, symbol, rule, children, ts, complete, min_ts, max_ts,
-                 weight, height, open_count, canon):
+                 weight, height, open_count, label):
         self.symbol = symbol
         self.rule = rule
         self.children = children
@@ -62,39 +71,76 @@ class PlanNode:
         self.weight = weight
         self.height = height
         self.open_count = open_count
-        self.canon = canon
-        self._hash = hash(canon)
+        self.label = label
+        self._canon = None if children else label
+
+    @property
+    def canon(self) -> str:
+        """The serialization of the subtree, built on first read."""
+        canon = self._canon
+        if canon is None:
+            canon = self._canon = f"{self.label}({' '.join(c.canon for c in self.children)})"
+        return canon
 
     @property
     def is_open(self) -> bool:
         return self.rule is None and self.ts is None
 
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        return isinstance(other, PlanNode) and self.canon == other.canon
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"PlanNode({self.canon})"
 
 
-def open_node(lib: PlanLibrary, symbol: int) -> PlanNode:
+class NodeTable(dict):
+    """One engine's hash-consing table: the dict from structural keys to the
+    one node of each structure, plus the library the nodes come from.
+
+    Keys: ``(rule.idx, children)`` for an expanded node, its children already
+    interned; ``(symbol, ts)`` for a realized leaf; the bare symbol for an open
+    node. The table keeps every node it built alive as long as it lives, so
+    it belongs to one engine (:class:`~planrec.phatt.PhattEngine` owns it),
+    never to the shared, immutable library.
+    """
+
+    __slots__ = ("lib",)
+
+    def __init__(self, lib: PlanLibrary):
+        super().__init__()
+        self.lib = lib
+
+    def adopt(self, node: PlanNode) -> PlanNode:
+        """This table's node of ``node``'s structure: ``node`` itself when the
+        table built it, else a copy rebuilt from the leaves up."""
+        if node.rule is None:
+            if node.ts is None:
+                return open_node(self, node.symbol)
+            return realized_leaf(self, node.symbol, node.ts)
+        if self.get((node.rule.idx, node.children)) is node:
+            return node
+        return try_expand(self, node.rule, tuple(self.adopt(c) for c in node.children))
+
+
+def open_node(nodes: NodeTable, symbol: int) -> PlanNode:
     """The open-frontier node for a symbol."""
-    return PlanNode(symbol, None, (), None, False, None, None,
-                    1.0, 0, 1, lib.name(symbol) + "?")
+    node = nodes.get(symbol)
+    if node is None:
+        node = nodes[symbol] = PlanNode(symbol, None, (), None, False, None, None,
+                                        1.0, 0, 1, nodes.lib.name(symbol) + "?")
+    return node
 
 
-def realized_leaf(lib: PlanLibrary, symbol: int, ts: int) -> PlanNode:
+def realized_leaf(nodes: NodeTable, symbol: int, ts: int) -> PlanNode:
     """A realized terminal leaf observed at timestamp ``ts`` (1-based)."""
-    if not lib.is_terminal(symbol):
-        raise ValueError(f"{lib.name(symbol)!r} is not a terminal")
-    if ts < 1:
-        raise ValueError("timestamps are 1-based observation indexes")
-    return PlanNode(symbol, None, (), ts, True, ts, ts,
-                    1.0, 0, 0, f"{lib.name(symbol)}@{ts}")
+    key = (symbol, ts)
+    node = nodes.get(key)
+    if node is None:
+        lib = nodes.lib
+        if not lib.is_terminal(symbol):
+            raise ValueError(f"{lib.name(symbol)!r} is not a terminal")
+        if ts < 1:
+            raise ValueError("timestamps are 1-based observation indexes")
+        node = nodes[key] = PlanNode(symbol, None, (), ts, True, ts, ts,
+                                     1.0, 0, 0, f"{lib.name(symbol)}@{ts}")
+    return node
 
 
 def _ordering_ok(rule: Rule, children: tuple[PlanNode, ...]) -> bool:
@@ -109,10 +155,20 @@ def _ordering_ok(rule: Rule, children: tuple[PlanNode, ...]) -> bool:
     return True
 
 
-def try_expand(lib: PlanLibrary, rule: Rule, children: tuple[PlanNode, ...]) -> PlanNode | None:
-    """Expanded node for ``rule`` over ``children``; None if ordering fails."""
-    if not _ordering_ok(rule, children):
-        return None
+def try_expand(nodes: NodeTable, rule: Rule, children: tuple[PlanNode, ...]) -> PlanNode | None:
+    """The table's expanded node for ``rule`` over ``children``, nodes of the
+    same table; None if ordering fails. A node the table holds passed the
+    ordering check when it was built, so a hit checks and computes nothing."""
+    key = (rule.idx, children)
+    node = nodes.get(key)
+    if node is None:
+        if not _ordering_ok(rule, children):
+            return None
+        node = nodes[key] = _expanded(nodes.lib, rule, children)
+    return node
+
+
+def _expanded(lib: PlanLibrary, rule: Rule, children: tuple[PlanNode, ...]) -> PlanNode:
     complete = True
     min_ts = None
     max_ts = None
@@ -127,12 +183,11 @@ def try_expand(lib: PlanLibrary, rule: Rule, children: tuple[PlanNode, ...]) -> 
         weight *= child.weight
         height = max(height, child.height)
         open_count += child.open_count
-    name = lib.name(rule.lhs)
+    label = lib.name(rule.lhs)
     if lib.ambiguous_rhs:
-        name = f"{name}#{rule.idx}"
-    canon = f"{name}({' '.join(c.canon for c in children)})"
+        label = f"{label}#{rule.idx}"
     return PlanNode(rule.lhs, rule, children, None, complete, min_ts, max_ts,
-                    weight, height + 1, open_count, canon)
+                    weight, height + 1, open_count, label)
 
 
 def enabled_frontier(root: PlanNode) -> tuple[tuple[Path, int], ...]:
@@ -163,12 +218,12 @@ def enabled_frontier(root: PlanNode) -> tuple[tuple[Path, int], ...]:
     return tuple(out)
 
 
-def try_fuse(lib: PlanLibrary, root: PlanNode, path: Path, sub: PlanNode) -> PlanNode | None:
+def try_fuse(nodes: NodeTable, root: PlanNode, path: Path, sub: PlanNode) -> PlanNode | None:
     """Replace the open node at ``path`` with ``sub``; None on any rejection.
 
     Rejections: the node is not open frontier, the symbols differ, or the
     substitution violates an ordering constraint at some ancestor. Inputs are
-    never mutated.
+    never mutated; the rebuilt ancestors come from ``nodes``.
     """
 
     def rebuild(node: PlanNode, depth: int) -> PlanNode | None:
@@ -183,7 +238,7 @@ def try_fuse(lib: PlanLibrary, root: PlanNode, path: Path, sub: PlanNode) -> Pla
         if child is None:
             return None
         children = node.children[:i] + (child,) + node.children[i + 1:]
-        return try_expand(lib, node.rule, children)
+        return try_expand(nodes, node.rule, children)
 
     return rebuild(root, 0)
 
@@ -201,7 +256,9 @@ class Hypothesis:
     :func:`parse_hypothesis` sorts what it reads), which makes the plan
     tuple, the weight product order, and therefore the weight itself
     deterministic for structurally equal hypotheses. Equality and hashing go
-    through that tuple, the deduplication key; ``canon``, the ``;``-joined
+    through that tuple, the deduplication key, whose nodes compare by
+    identity: two hypotheses built from one :class:`NodeTable` are equal
+    exactly when their plans are structurally equal. ``canon``, the ``;``-joined
     plan serializations used for output and ordering, is built on first
     read. ``weight`` is the product of all rule probabilities over all
     plans, times the supplied per-root priors (goal priors for goal-rooted
@@ -259,27 +316,30 @@ EMPTY_HYPOTHESIS = Hypothesis((), 1.0)
 # ---------------------------------------------------------------------------
 
 
-def parse_plan(lib: PlanLibrary, text: str) -> PlanNode:
-    """Parse one plan in the serialization grammar back into nodes."""
-    node, rest = _parse_node(lib, text.strip())
+def parse_plan(nodes: NodeTable, text: str) -> PlanNode:
+    """Parse one plan in the serialization grammar back into nodes of
+    ``nodes``; parse into an engine's table (``engine.nodes``) to feed the
+    result to its ``step``."""
+    node, rest = _parse_node(nodes, text.strip())
     if rest:
         raise ValueError(f"trailing input {rest!r} after plan")
     return node
 
 
-def parse_hypothesis(lib: PlanLibrary, text: str, priors=None) -> Hypothesis:
+def parse_hypothesis(nodes: NodeTable, text: str, priors=None) -> Hypothesis:
     """Parse a ``;``-joined hypothesis serialization, its plans in any order;
     they are sorted by (smallest realized timestamp, canonical form),
     unrealized plans last, the order the engines build."""
     text = text.strip()
     if not text:
         return EMPTY_HYPOTHESIS
-    plans = sorted((parse_plan(lib, part) for part in text.split(";")),
+    plans = sorted((parse_plan(nodes, part) for part in text.split(";")),
                    key=lambda p: (float("inf") if p.min_ts is None else p.min_ts, p.canon))
     return Hypothesis.build(tuple(plans), priors)
 
 
-def _parse_node(lib: PlanLibrary, text: str) -> tuple[PlanNode, str]:
+def _parse_node(nodes: NodeTable, text: str) -> tuple[PlanNode, str]:
+    lib = nodes.lib
     m = _NAME_SPLIT(text)
     if m is None:
         raise ValueError(f"expected a symbol name at {text[:30]!r}")
@@ -293,17 +353,17 @@ def _parse_node(lib: PlanLibrary, text: str) -> tuple[PlanNode, str]:
         rest = rest[end:]
     sym = lib.sym(name)
     if rest.startswith("?"):
-        return open_node(lib, sym), rest[1:]
+        return open_node(nodes, sym), rest[1:]
     if rest.startswith("@"):
         end = 1
         while end < len(rest) and rest[end].isdigit():
             end += 1
-        return realized_leaf(lib, sym, int(rest[1:end])), rest[end:]
+        return realized_leaf(nodes, sym, int(rest[1:end])), rest[end:]
     if rest.startswith("("):
         children = []
         rest = rest[1:]
         while True:
-            child, rest = _parse_node(lib, rest)
+            child, rest = _parse_node(nodes, rest)
             children.append(child)
             if rest.startswith(" "):
                 rest = rest[1:]
@@ -313,7 +373,7 @@ def _parse_node(lib: PlanLibrary, text: str) -> tuple[PlanNode, str]:
                 break
             raise ValueError(f"expected ' ' or ')' at {rest[:30]!r}")
         rule = _find_rule(lib, sym, tuple(c.symbol for c in children), rule_idx)
-        node = try_expand(lib, rule, tuple(children))
+        node = try_expand(nodes, rule, tuple(children))
         if node is None:
             raise ValueError(f"children violate ordering constraints of rule {rule.idx}")
         return node, rest

@@ -8,6 +8,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 from planrec.grammar import parse_library
 from planrec.metrics import drive
 from planrec.phatt import HypothesisSet, PhattEngine
+from planrec.trees import NodeTable
 
 RUNNING_EXAMPLE = """
 terminals: a b c
@@ -89,6 +90,13 @@ def drive_engine(engine, names, hook=None):
 @pytest.fixture
 def lib():
     return parse_library(RUNNING_EXAMPLE)
+
+
+@pytest.fixture
+def nodes(lib):
+    """A node table over the running example: a test builds its nodes from one
+    table, so equal structures are one object."""
+    return NodeTable(lib)
 
 
 @pytest.fixture(params=sorted(SUITE), ids=sorted(SUITE))

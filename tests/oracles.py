@@ -111,6 +111,26 @@ def forest_canon(lib, trees):
     return ";".join(text for _, text in keyed)
 
 
+def append_problems(lib, appended, replaced):
+    """Problems with one step's candidates, where ``appended`` holds those
+    built by appending a plan and ``replaced`` those built by replacing one.
+    The engines store appends without a dedup check, which is sound only
+    when no two appends share a canonical form and none shares one with a
+    replacement; canonical forms are rebuilt here from the raw nodes."""
+    problems = []
+    seen = set()
+    for h in appended:
+        canon = forest_canon(lib, [from_plan_node(p) for p in h.plans])
+        if canon in seen:
+            problems.append(f"append {canon!r} built twice")
+        seen.add(canon)
+    for h in replaced:
+        canon = forest_canon(lib, [from_plan_node(p) for p in h.plans])
+        if canon in seen:
+            problems.append(f"append {canon!r} equals a replacement")
+    return problems
+
+
 def from_plan_node(node):
     """Convert an engine PlanNode into the tuple encoding."""
     if node.rule is not None:

@@ -11,7 +11,7 @@ from planrec.phatt import (
     RecognitionFailure,
     default_max_depth,
 )
-from planrec.trees import Hypothesis, parse_hypothesis, parse_plan
+from planrec.trees import Hypothesis, NodeTable, parse_hypothesis, parse_plan
 
 from conftest import drive_engine
 from oracles import (
@@ -145,10 +145,12 @@ def test_resumption_from_serialized_intermediate(lib):
     straight = run(lib, ["a", "c", "b"])
     # serialize the step-2 state, rebuild it, and continue
     mid = run(lib, ["a", "c"])
+    # parsed into the resuming engine's node table, as its step requires
+    engine = PhattEngine(lib, cfg)
     rebuilt = tuple(
-        parse_hypothesis(lib, h.canon, priors=cfg.goal_prior) for h in mid.hypotheses
+        parse_hypothesis(engine.nodes, h.canon, priors=cfg.goal_prior) for h in mid.hypotheses
     )
-    resumed = PhattEngine(lib, cfg).step(HypothesisSet(2, rebuilt), lib.sym("b"))
+    resumed = engine.step(HypothesisSet(2, rebuilt), lib.sym("b"))
     assert canons(resumed) == canons(straight)
     assert [h.weight for h in resumed.hypotheses] == [
         h.weight for h in straight.hypotheses
@@ -174,7 +176,7 @@ def test_probability_single_non_unit_rule():
         "rule: X -> A | | 0.4\nrule: X -> b | | 0.6\nrule: A -> a | | 1.0"
     )
     cfg = PhattConfig.for_library(lib)
-    h = Hypothesis.build((parse_plan(lib, "X(A(a@1))"),), cfg.goal_prior)
+    h = Hypothesis.build((parse_plan(NodeTable(lib), "X(A(a@1))"),), cfg.goal_prior)
     assert hypothesis_probability(h, lib, cfg) == pytest.approx(0.4)
     assert h.weight == pytest.approx(0.4)
 
@@ -186,7 +188,8 @@ def test_probability_two_plans_with_priors():
         "rule: Y -> b | | 1.0\nrule: A -> a | | 1.0"
     )
     cfg = PhattConfig.for_library(lib)  # uniform prior 0.5 per goal
-    plans = (parse_plan(lib, "X(A(a@1))"), parse_plan(lib, "X(A(a@2))"))
+    nodes = NodeTable(lib)
+    plans = (parse_plan(nodes, "X(A(a@1))"), parse_plan(nodes, "X(A(a@2))"))
     h = Hypothesis.build(plans, cfg.goal_prior)
     assert hypothesis_probability(h, lib, cfg) == pytest.approx(0.4 * 0.5 * 0.4 * 0.5)
     assert h.weight == pytest.approx(0.04)

@@ -23,6 +23,7 @@ from planrec.slim import (
 from planrec.trees import (
     EMPTY_HYPOTHESIS,
     Hypothesis,
+    NodeTable,
     enabled_frontier,
     open_node,
     parse_hypothesis,
@@ -32,7 +33,13 @@ from planrec.trees import (
 )
 
 from conftest import SUITE, drive_engine
-from oracles import all_agent_prefixes, reachable_symbols, slim_oracle_run, verify_hypothesis
+from oracles import (
+    all_agent_prefixes,
+    append_problems,
+    reachable_symbols,
+    slim_oracle_run,
+    verify_hypothesis,
+)
 from test_acceptance import BENCH_A, BENCH_B
 
 
@@ -54,8 +61,8 @@ def canons(items):
 # ---------------------------------------------------------------------------
 
 
-def test_terminal_fragment_for_first_action(lib):
-    frags = create_fragments(lib, lib.sym("a"), 1)
+def test_terminal_fragment_for_first_action(lib, nodes):
+    frags = create_fragments(nodes, lib.sym("a"), 1)
     assert [f.canon for f in frags] == ["A(a@1)"]
     # a depth-1 node of rule A -> a, attached at position 0, created at step 1
     assert frags[0].rule is lib.rules_for(lib.sym("A"))[0] and frags[0].height == 1
@@ -63,9 +70,9 @@ def test_terminal_fragment_for_first_action(lib):
     assert frags[0].min_ts == 1
 
 
-def test_terminal_fragment_exists_for_b(lib):
+def test_terminal_fragment_exists_for_b(lib, nodes):
     # B -> b places b at an unconstrained position, so the fragment exists
-    frags = create_fragments(lib, lib.sym("b"), 5)
+    frags = create_fragments(nodes, lib.sym("b"), 5)
     assert [f.canon for f in frags] == ["B(b@5)"]
 
 
@@ -74,9 +81,10 @@ def test_no_fragment_at_position_with_predecessor():
         "terminals: s t\nnonterminals: M\ngoals: M\n"
         "rule: M -> s t | (1,2) | 1.0"
     )
-    assert create_fragments(lib, lib.sym("s"), 1) != ()
+    nodes = NodeTable(lib)
+    assert create_fragments(nodes, lib.sym("s"), 1) != ()
     # t sits behind s in the only rule mentioning it
-    assert create_fragments(lib, lib.sym("t"), 1) == ()
+    assert create_fragments(nodes, lib.sym("t"), 1) == ()
 
 
 def test_fragment_pruning_drops_unreachable_rules():
@@ -84,17 +92,18 @@ def test_fragment_pruning_drops_unreachable_rules():
         "terminals: a\nnonterminals: X Z\ngoals: X\n"
         "rule: X -> a | | 1.0\nrule: Z -> a | | 1.0"
     )
-    pruned = create_fragments(lib, lib.sym("a"), 1)
+    nodes = NodeTable(lib)
+    pruned = create_fragments(nodes, lib.sym("a"), 1)
     assert [f.rule.lhs for f in pruned] == [lib.sym("X")]
 
 
-def test_generalized_fragment_keeps_attachment_open(lib):
+def test_generalized_fragment_keeps_attachment_open(lib, nodes):
     # a plan rooted at a nonterminal joins a sibling through the host rule's
     # all-open children: the attachment carries no realized content yet
     def slots(name):
         return {lib.name(s): [(lib.name(rule.lhs), i, j, [o.canon for o in opens])
                               for rule, i, j, opens in v]
-                for s, v in sibling_slots(lib, lib.sym(name)).items()}
+                for s, v in sibling_slots(nodes, lib.sym(name)).items()}
 
     assert slots("A") == {"B": [("X", 1, 0, ["A?", "B?", "C?"])],
                           "C": [("X", 2, 0, ["A?", "B?", "C?"])]}
@@ -114,15 +123,16 @@ def test_combine_directly_realizes_terminal_leaf():
         "terminals: a b c\nnonterminals: X A C\ngoals: X\n"
         "rule: X -> A b C | (1,2) | 1.0\nrule: A -> a | | 1.0\nrule: C -> c | | 1.0"
     )
-    plan = parse_plan(lib, "X(A(a@1) b? C?)")
-    out = combine_directly(lib, plan, realized_leaf(lib, lib.sym("b"), 2),
+    nodes = NodeTable(lib)
+    plan = parse_plan(nodes, "X(A(a@1) b? C?)")
+    out = combine_directly(nodes, plan, realized_leaf(nodes, lib.sym("b"), 2),
                            CombinationCounter(), enabled_frontier(plan))
     assert canons(out) == {"X(A(a@1) b@2 C?)"}
 
 
-def test_combine_directly_no_match(lib):
-    plan = parse_plan(lib, "A(a@1)")
-    assert combine_directly(lib, plan, realized_leaf(lib, lib.sym("c"), 2),
+def test_combine_directly_no_match(lib, nodes):
+    plan = parse_plan(nodes, "A(a@1)")
+    assert combine_directly(nodes, plan, realized_leaf(nodes, lib.sym("c"), 2),
                             CombinationCounter(), enabled_frontier(plan)) == []
 
 
@@ -131,52 +141,53 @@ def test_combine_directly_respects_enablement():
         "terminals: a b\nnonterminals: X A\ngoals: X\n"
         "rule: X -> A b | (1,2) | 1.0\nrule: A -> a | | 1.0"
     )
-    blocked = parse_plan(lib, "X(A? b?)")
-    assert combine_directly(lib, blocked, realized_leaf(lib, lib.sym("b"), 1),
+    nodes = NodeTable(lib)
+    blocked = parse_plan(nodes, "X(A? b?)")
+    assert combine_directly(nodes, blocked, realized_leaf(nodes, lib.sym("b"), 1),
                             CombinationCounter(), enabled_frontier(blocked)) == []
 
 
-def test_combine_as_child_fig_example(lib):
-    plan = parse_plan(lib, "X(A(a@1) B? C(c@2))")
-    (frag,) = create_fragments(lib, lib.sym("b"), 3)
-    out = combine_as_child(lib, plan, frag, CombinationCounter(), enabled_frontier(plan))
+def test_combine_as_child_fig_example(lib, nodes):
+    plan = parse_plan(nodes, "X(A(a@1) B? C(c@2))")
+    (frag,) = create_fragments(nodes, lib.sym("b"), 3)
+    out = combine_as_child(nodes, plan, frag, CombinationCounter(), enabled_frontier(plan))
     assert canons(out) == {"X(A(a@1) B(b@3) C(c@2))"}
 
 
-def test_combine_as_child_blocked_by_predecessor(lib):
-    plan = parse_plan(lib, "X(A? B? C(c@1))")
-    (frag,) = create_fragments(lib, lib.sym("b"), 2)
-    assert combine_as_child(lib, plan, frag, CombinationCounter(), enabled_frontier(plan)) == []
+def test_combine_as_child_blocked_by_predecessor(lib, nodes):
+    plan = parse_plan(nodes, "X(A? B? C(c@1))")
+    (frag,) = create_fragments(nodes, lib.sym("b"), 2)
+    assert combine_as_child(nodes, plan, frag, CombinationCounter(), enabled_frontier(plan)) == []
 
 
-def test_combine_as_child_symbol_mismatch(lib):
-    plan = parse_plan(lib, "X(A? B? C?)")
-    (frag,) = create_fragments(lib, lib.sym("c"), 1)  # C-rooted
+def test_combine_as_child_symbol_mismatch(lib, nodes):
+    plan = parse_plan(nodes, "X(A? B? C?)")
+    (frag,) = create_fragments(nodes, lib.sym("c"), 1)  # C-rooted
     # enabled opens are A and C; only C matches and accepts the fragment
-    out = combine_as_child(lib, plan, frag, CombinationCounter(), enabled_frontier(plan))
+    out = combine_as_child(nodes, plan, frag, CombinationCounter(), enabled_frontier(plan))
     assert canons(out) == {"X(A? B? C(c@1))"}
 
 
-def test_combine_as_sibling_fig_example(lib):
-    plan = parse_plan(lib, "A(a@1)")
-    (frag,) = create_fragments(lib, lib.sym("c"), 2)
-    out = combine_as_sibling(lib, plan, frag, sibling_slots(lib, frag.symbol),
+def test_combine_as_sibling_fig_example(lib, nodes):
+    plan = parse_plan(nodes, "A(a@1)")
+    (frag,) = create_fragments(nodes, lib.sym("c"), 2)
+    out = combine_as_sibling(nodes, plan, frag, sibling_slots(nodes, frag.symbol),
                              CombinationCounter())
     assert canons(out) == {"X(A(a@1) B? C(c@2))"}
 
 
-def test_combine_as_sibling_rejects_ordering_violation(lib):
-    plan = parse_plan(lib, "C(c@1)")
-    (frag,) = create_fragments(lib, lib.sym("b"), 2)
+def test_combine_as_sibling_rejects_ordering_violation(lib, nodes):
+    plan = parse_plan(nodes, "C(c@1)")
+    (frag,) = create_fragments(nodes, lib.sym("b"), 2)
     # candidate X(A? B(b@2) C(c@1)) breaks (A before B)
-    assert combine_as_sibling(lib, plan, frag, sibling_slots(lib, frag.symbol),
+    assert combine_as_sibling(nodes, plan, frag, sibling_slots(nodes, frag.symbol),
                               CombinationCounter()) == []
 
 
-def test_combine_as_sibling_valid_pair(lib):
-    plan = parse_plan(lib, "A(a@1)")
-    (frag,) = create_fragments(lib, lib.sym("b"), 2)
-    out = combine_as_sibling(lib, plan, frag, sibling_slots(lib, frag.symbol),
+def test_combine_as_sibling_valid_pair(lib, nodes):
+    plan = parse_plan(nodes, "A(a@1)")
+    (frag,) = create_fragments(nodes, lib.sym("b"), 2)
+    out = combine_as_sibling(nodes, plan, frag, sibling_slots(nodes, frag.symbol),
                              CombinationCounter())
     assert canons(out) == {"X(A(a@1) B(b@2) C?)"}
 
@@ -191,20 +202,20 @@ def generalized_fragments(lib, sym):
             for j, s in enumerate(rule.rhs) if s == sym]
 
 
-def sibling_reference(lib, p, f, counter):
+def sibling_reference(nodes, p, f, counter):
     """The sibling loop over generalized fragments that the slot table replaces."""
     out = []
-    for rule, j in generalized_fragments(lib, f.symbol):
+    for rule, j in generalized_fragments(nodes.lib, f.symbol):
         rhs = rule.rhs
         for i in range(len(rhs)):
             if i == j or rhs[i] != p.symbol:
                 continue
             counter.n += 1
             children = tuple(
-                p if c == i else (f if c == j else open_node(lib, s))
+                p if c == i else (f if c == j else open_node(nodes, s))
                 for c, s in enumerate(rhs)
             )
-            parent = try_expand(lib, rule, children)
+            parent = try_expand(nodes, rule, children)
             if parent is not None:
                 out.append(parent)
     return out
@@ -215,15 +226,16 @@ def assert_sibling_slots_match_reference(lib, sequences):
     for names in sequences:
         hyps = (EMPTY_HYPOTHESIS,)
         engine = SlimEngine(lib)
+        nodes = engine.nodes
         for ts, name in enumerate(names, start=1):
             obs = lib.sym(name)
-            for f in create_fragments(lib, obs, ts):
+            for f in create_fragments(nodes, obs, ts):
                 for h in hyps:
                     for p in h.plans:
                         got_n, want_n = CombinationCounter(), CombinationCounter()
-                        slots = sibling_slots(lib, f.symbol)
-                        got = combine_as_sibling(lib, p, f, slots, got_n)
-                        want = sibling_reference(lib, p, f, want_n)
+                        slots = sibling_slots(nodes, f.symbol)
+                        got = combine_as_sibling(nodes, p, f, slots, got_n)
+                        want = sibling_reference(nodes, p, f, want_n)
                         assert [(c.canon, c.weight) for c in got] == \
                             [(c.canon, c.weight) for c in want], (names, ts, h.canon)
                         assert got_n.n == want_n.n
@@ -233,10 +245,11 @@ def assert_sibling_slots_match_reference(lib, sequences):
 
 
 def assert_slot_table_matches_fragments(lib):
+    nodes = NodeTable(lib)
     slots_seen = 0
     for sym in lib.nonterminals:
         fragments = generalized_fragments(lib, sym)
-        slots = sibling_slots(lib, sym)
+        slots = sibling_slots(nodes, sym)
         for psym in range(len(lib.symbols)):
             want = [(rule, i, j) for rule, j in fragments
                     for i, s in enumerate(rule.rhs) if i != j and s == psym]
@@ -261,15 +274,15 @@ def test_sibling_slots_reproduce_fragment_loop_generated(params, seeds):
     assert attempts > 0 or params is BENCH_A  # A's prefixes make no sibling attempt
 
 
-def test_combine_independently_examples(lib):
-    h = parse_hypothesis(lib, "A(a@1)")
-    (frag,) = create_fragments(lib, lib.sym("c"), 2)
+def test_combine_independently_examples(lib, nodes):
+    h = parse_hypothesis(nodes, "A(a@1)")
+    (frag,) = create_fragments(nodes, lib.sym("c"), 2)
     h1 = combine_independently(h, frag, CombinationCounter())
     assert h1.canon == "A(a@1);C(c@2)"
-    (frag_b,) = create_fragments(lib, lib.sym("b"), 3)
+    (frag_b,) = create_fragments(nodes, lib.sym("b"), 3)
     h2 = combine_independently(h1, frag_b, CombinationCounter())
     assert h2.canon == "A(a@1);C(c@2);B(b@3)"
-    first = combine_independently(EMPTY_HYPOTHESIS, create_fragments(lib, lib.sym("a"), 1)[0],
+    first = combine_independently(EMPTY_HYPOTHESIS, create_fragments(nodes, lib.sym("a"), 1)[0],
                                   CombinationCounter())
     assert first.canon == "A(a@1)"
 
@@ -323,17 +336,17 @@ def test_bottom_up_every_hypothesis_verified(lib):
             assert verify_hypothesis(lib, h, n) == []
 
 
-def test_fragment_timestamp_law(lib):
+def test_fragment_timestamp_law(lib, nodes):
     # after a sibling fusion the plan's min timestamp is the min of parts
-    plan = parse_plan(lib, "A(a@1)")
-    (frag,) = create_fragments(lib, lib.sym("c"), 2)
-    (out,) = combine_as_sibling(lib, plan, frag, sibling_slots(lib, frag.symbol),
+    plan = parse_plan(nodes, "A(a@1)")
+    (frag,) = create_fragments(nodes, lib.sym("c"), 2)
+    (out,) = combine_as_sibling(nodes, plan, frag, sibling_slots(nodes, frag.symbol),
                                 CombinationCounter())
     assert out.min_ts == 1
-    plan_rev = parse_plan(lib, "C(c@1)")
-    (frag_a,) = create_fragments(lib, lib.sym("a"), 2)
-    (out_rev,) = combine_as_sibling(lib, plan_rev, frag_a,
-                                    sibling_slots(lib, frag_a.symbol), CombinationCounter())
+    plan_rev = parse_plan(nodes, "C(c@1)")
+    (frag_a,) = create_fragments(nodes, lib.sym("a"), 2)
+    (out_rev,) = combine_as_sibling(nodes, plan_rev, frag_a,
+                                    sibling_slots(nodes, frag_a.symbol), CombinationCounter())
     assert out_rev.min_ts == 1
 
 
@@ -342,10 +355,10 @@ def test_fragment_timestamp_law(lib):
 # ---------------------------------------------------------------------------
 
 
-def test_k_best_ordering_and_ties(lib):
+def test_k_best_ordering_and_ties(nodes):
     hs = [
-        parse_hypothesis(lib, "A(a@1);C(c@2)"),
-        parse_hypothesis(lib, "X(A(a@1) B? C(c@2))"),
+        parse_hypothesis(nodes, "A(a@1);C(c@2)"),
+        parse_hypothesis(nodes, "X(A(a@1) B? C(c@2))"),
     ]
     best = k_best(hs, 1)
     assert [h.canon for h in best] == ["A(a@1);C(c@2)"]  # weights tie, canon order
@@ -361,8 +374,9 @@ def test_k_best_by_weight():
         "rule: X -> A | | 0.6\nrule: X -> B | | 0.4\n"
         "rule: A -> a | | 1.0\nrule: B -> b | | 1.0"
     )
-    light = Hypothesis.build((parse_plan(lib, "X(B(b@1))"),))
-    heavy = Hypothesis.build((parse_plan(lib, "X(A(a@1))"),))
+    nodes = NodeTable(lib)
+    light = Hypothesis.build((parse_plan(nodes, "X(B(b@1))"),))
+    heavy = Hypothesis.build((parse_plan(nodes, "X(A(a@1))"),))
     assert [h.canon for h in k_best([light, heavy], 2)] == [heavy.canon, light.canon]
 
 
@@ -436,8 +450,8 @@ def top_down(lib, local):
     return SlimEngine(lib, cfg_all(lib)).compile_top_down([local])[0]
 
 
-def test_top_down_worked_example(lib):
-    local = parse_hypothesis(lib, "A(a@1);C(c@2)")
+def test_top_down_worked_example(lib, nodes):
+    local = parse_hypothesis(nodes, "A(a@1);C(c@2)")
     out = top_down(lib, local)
     assert "X(A(a@1) B? C(c@2))" in canons(out)
     assert canons(out) == {
@@ -446,8 +460,8 @@ def test_top_down_worked_example(lib):
     }
 
 
-def test_top_down_identity_on_goal_rooted_complete(lib):
-    local = parse_hypothesis(lib, "X(A(a@1) B(b@3) C(c@2))")
+def test_top_down_identity_on_goal_rooted_complete(lib, nodes):
+    local = parse_hypothesis(nodes, "X(A(a@1) B(b@3) C(c@2))")
     out = top_down(lib, local)
     assert canons(out) == {local.canon}
     # weights gain the goal prior exactly once
@@ -469,7 +483,8 @@ def test_top_down_dead_local():
         "rule: M -> s t | (1,2) | 1.0\nrule: N -> t | | 1.0"
     )
     # N is reachable from no goal position that allows t first
-    local = Hypothesis.build((parse_plan(lib, "N(t@1)"),))
+    nodes = NodeTable(lib)
+    local = Hypothesis.build((parse_plan(nodes, "N(t@1)"),))
     assert top_down(lib, local) == []
 
 
@@ -593,7 +608,8 @@ def ranked(hyps):
 
 def per_local_union(lib, locals_, max_depth=None):
     """Each local's plans replayed alone through the modified-PHATT step, the
-    compile without the skip, and merged."""
+    compile without the skip, and merged by canonical form (the locals may
+    come from another engine's node table)."""
     phatt = PhattEngine(lib, PhattConfig.for_library(lib, max_depth))
     merged = {}
     for local in locals_:
@@ -601,7 +617,7 @@ def per_local_union(lib, locals_, max_depth=None):
         for plan in local.plans:
             states = phatt.advance(states.values(), plan)
         for h in states.values():
-            merged.setdefault(h.plans, h)
+            merged.setdefault(h.canon, h)
     return ranked(sorted(merged.values(), key=lambda h: (-h.weight, h.canon)))
 
 
@@ -671,12 +687,12 @@ def test_split_skip_off_below_the_longest_derivation(lib):
         assert joined(assert_skip_keeps_output(library, names, max_depth=max_depth))
 
 
-def test_split_skip_keeps_locals_with_plans_that_replay_nowhere(lib):
+def test_split_skip_keeps_locals_with_plans_that_replay_nowhere(lib, nodes):
     # a bare open plan and a depth-1 node without an observation are no
     # fragments: dropping them from the split would lose what they compile to
-    split = parse_hypothesis(lib, "A(a@1);C(c@2)")
-    locals_ = [split, parse_hypothesis(lib, "X(A(a@1) B? C(c@2));C?"),
-               parse_hypothesis(lib, "X(A? B(b?) C(c@1))"), parse_hypothesis(lib, "C(c@1)")]
+    split = parse_hypothesis(nodes, "A(a@1);C(c@2)")
+    locals_ = [split, parse_hypothesis(nodes, "X(A(a@1) B? C(c@2));C?"),
+               parse_hypothesis(nodes, "X(A? B(b?) C(c@1))"), parse_hypothesis(nodes, "C(c@1)")]
     batched, _ = SlimEngine(lib, cfg_all(lib)).compile_top_down(locals_)
     assert ranked(batched) == per_local_union(lib, locals_)
     assert "X(A(a@1) B? C(c@2));X(A? B? C?)" in canons(batched)
@@ -795,7 +811,7 @@ def test_bottom_up_combines_each_distinct_plan_once(monkeypatch, params, seed, p
     fragments_seen = checked_expands = 0
     for ts, name in enumerate(names, start=1):
         obs = lib.sym(name)
-        fragments_seen = max(fragments_seen, len(create_fragments(lib, obs, ts)))
+        fragments_seen = max(fragments_seen, len(create_fragments(engine.nodes, obs, ts)))
         distinct = list({id(p): p for h in hyps for p in h.plans}.values())
         runs = []
         for step_in in (hyps, hyps + hyps):
@@ -857,6 +873,117 @@ def test_bottom_up_keeps_candidate_order_and_counts(params, seed, prefix, case):
         steps.append((engine.counter.n - before,
                       hashlib.sha256(listing.encode()).hexdigest()[:16]))
     assert steps == BOTTOM_UP_STEPS[case]
+
+
+# ---------------------------------------------------------------------------
+# Appends skip the dedup check
+# ---------------------------------------------------------------------------
+
+
+def check_appends(monkeypatch, lib):
+    """Check :func:`oracles.append_problems` after every PHATT advance (a
+    PHATT step or one level of the top-down compile) and every SLIM bottom-up
+    step; returns ``[appends, replacements]`` counted over the checks."""
+    frames = []
+    totals = [0, 0]
+    with_plan, with_replaced = Hypothesis.with_plan, Hypothesis.with_replaced
+
+    def appended(self, *args):
+        h = with_plan(self, *args)
+        if frames:
+            frames[-1][0].append(h)
+        return h
+
+    def replaced(self, *args):
+        h = with_replaced(self, *args)
+        if frames:
+            frames[-1][1].append(h)
+        return h
+
+    def checked(method):
+        def wrapper(*args):
+            frames.append(([], []))
+            try:
+                result = method(*args)
+            finally:
+                appends, replacements = frames.pop()
+            problems = append_problems(lib, appends, replacements)
+            assert problems == [], problems[:3]
+            totals[0] += len(appends)
+            totals[1] += len(replacements)
+            return result
+        return wrapper
+
+    monkeypatch.setattr(Hypothesis, "with_plan", appended)
+    monkeypatch.setattr(Hypothesis, "with_replaced", replaced)
+    monkeypatch.setattr(PhattEngine, "advance", checked(PhattEngine.advance))
+    monkeypatch.setattr(SlimEngine, "step", checked(SlimEngine.step))
+    return totals
+
+
+@pytest.mark.parametrize("case", ["running-example", "benchmark-a-1000", "benchmark-b-2071"])
+def test_appends_equal_no_other_candidate(monkeypatch, lib, case):
+    if case == "running-example":
+        sequences = all_agent_prefixes(lib, 4)
+    else:
+        params, seed = (BENCH_A, 1000) if case == "benchmark-a-1000" else (BENCH_B, 2071)
+        lib = generate_domain(params)
+        sequences = [simulate_agent(lib, seed)]
+    totals = check_appends(monkeypatch, lib)
+    for names in sequences:  # every step of a sequence checks one prefix
+        try:
+            drive_engine(PhattEngine(lib), names)
+        except RecognitionFailure:
+            pass
+        engine = SlimEngine(lib, cfg_all(lib))
+        engine.compile_top_down(drive_engine(engine, names)[0])
+    assert totals[0] > 0 and totals[1] > 0
+
+
+# ---------------------------------------------------------------------------
+# Compiling another engine's locals
+# ---------------------------------------------------------------------------
+
+# a goal-rooted local and its split: replaying G(X(a@1 B?) Y?) whole and
+# grafting the fragment X(a@1 B?) into the leftmost tree G(X? Y?) build the
+# same hypothesis (X -> a B mixes a terminal and a nonterminal, so the split
+# skip is off and both locals compile)
+GOAL_ROOTED_BESIDE_SPLIT = """
+terminals: a b y
+nonterminals: G X Y B
+goals: G
+rule: G -> X Y | | 1.0
+rule: X -> a B | | 1.0
+rule: B -> b | | 1.0
+rule: Y -> y | | 1.0
+"""
+
+
+@pytest.mark.parametrize("case", ["running-example", "benchmark-a-1000", "benchmark-b-2071",
+                                  "goal-rooted-beside-its-split"])
+def test_fresh_engine_compiles_another_engines_locals(lib, case):
+    # the locals' plans belong to the node table of the engine that built
+    # them; a fresh engine adopts them into its own before it compiles
+    if case == "goal-rooted-beside-its-split":
+        lib = parse_library(GOAL_ROOTED_BESIDE_SPLIT)
+        owner = SlimEngine(lib, cfg_all(lib))
+        locals_ = [parse_hypothesis(owner.nodes, text)
+                   for text in ("G(X(a@1 B?) Y?)", "X(a@1 B?)")]
+    else:
+        if case == "running-example":
+            names = ["a", "c", "b"]
+        else:
+            params, seed = (BENCH_A, 1000) if case == "benchmark-a-1000" else (BENCH_B, 2071)
+            lib = generate_domain(params)
+            names = simulate_agent(lib, seed)
+        owner = SlimEngine(lib, cfg_all(lib))
+        locals_, _ = drive_engine(owner, names)
+    built = ranked(owner.compile_top_down(locals_)[0])
+    fresh = SlimEngine(lib, cfg_all(lib))
+    assert ranked(fresh.compile_top_down(locals_)[0]) == built
+    assert built
+    if case == "goal-rooted-beside-its-split":
+        assert built == [("G(X(a@1 B?) Y?)", "1.0")]
 
 
 # ---------------------------------------------------------------------------
