@@ -3,8 +3,9 @@
 Exit codes: 0 success, 2 a command-line usage error (argparse's own code,
 also for ``generate`` parameters that :class:`DomainParams` rejects and
 for an empty or repeated ``--k-list`` or ``--algorithms``), 3 a library that
-does not parse or that ``simulate`` cannot sample, 4 I/O error, 5 an
-observation that is unknown or not a terminal, 6 recognition failure.
+does not parse or that ``simulate`` cannot sample, 4 an I/O error (also a
+library or observation file that is not UTF-8 text), 5 an observation that
+is unknown or not a terminal, 6 recognition failure.
 """
 
 from __future__ import annotations

@@ -414,19 +414,10 @@ class ValidationReport:
 
 
 def validate_library(lib: PlanLibrary) -> ValidationReport:
-    """Report-only validation: probability sums and reachability hygiene."""
+    """Report-only validation: reachability hygiene. Per-head probability
+    sums need no check here, since :func:`build_library`, which builds every
+    library, rejects a head whose probabilities do not sum to 1."""
     issues: list[ValidationIssue] = []
-    sums: dict[int, float] = {}
-    for rule in lib.rules:
-        sums[rule.lhs] = sums.get(rule.lhs, 0.0) + rule.prob
-    for head, total in sorted(sums.items()):
-        if abs(total - 1.0) > PROB_TOL:
-            issues.append(
-                ValidationIssue(
-                    "prob-sum",
-                    f"probabilities for {lib.name(head)!r} sum to {total!r}",
-                )
-            )
     for goal in lib.goals:
         if not lib.rules_for(goal):
             issues.append(

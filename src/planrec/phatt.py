@@ -118,15 +118,16 @@ class HypothesisSet:
 
 class PhattEngine:
     """Stateful wrapper owning the engine's node table and caching leftmost
-    trees, grafts and frontiers.
+    trees, grafts and frontiers across calls.
 
     ``nodes``, the engine's :class:`~planrec.trees.NodeTable`, builds every
     node the engine makes, so equal structures are one object and the
-    hypotheses, memos and dedup keys compare plans by identity. It lives as
-    long as the engine. The caches never affect results: :meth:`advance`
-    and :meth:`step` are pure functions of their arguments, whatever the
-    engine has seen before, given arguments built from ``nodes`` (its own
-    results, or plans parsed with ``parse_hypothesis(engine.nodes, ...)``).
+    hypotheses, memos and dedup keys compare plans by identity: the caches
+    key on plan nodes, and :meth:`advance` grafts each distinct plan of its
+    input once. The caches never affect results: :meth:`advance` and
+    :meth:`step` are pure functions of their arguments, whatever the engine
+    has seen before, given arguments built from ``nodes`` (its own results,
+    or plans parsed with ``parse_hypothesis(engine.nodes, ...)``).
     """
 
     def __init__(self, lib: PlanLibrary, cfg: PhattConfig | None = None,
@@ -156,8 +157,8 @@ class PhattEngine:
 
     def frontier(self, plan: PlanNode) -> tuple[tuple[Path, int], ...]:
         """:func:`~planrec.trees.enabled_frontier` of a plan, its enabled
-        ``(path, symbol)`` pairs; memoized, since the hypotheses of a step
-        share most of their plans."""
+        ``(path, symbol)`` pairs; memoized, since successive steps and
+        compile levels share most of their plans."""
         entries = self._frontier_memo.get(plan)
         if entries is None:
             entries = self._frontier_memo[plan] = enabled_frontier(plan)
@@ -189,9 +190,12 @@ class PhattEngine:
         of its plans. Returns the results keyed by plan tuple, in the order
         first built.
 
-        The hypotheses share most of their plans, so the grafts of
-        ``target`` (per frontier symbol) and each fusion (per plan, path and
-        graft) are computed once per call; every attempt still counts.
+        A graft into a plan does not depend on the hypothesis holding it, so
+        each distinct plan of ``hyps`` is walked once per call: every entry
+        of its :meth:`frontier` is fused with every :meth:`grafted` plan of
+        the entry's symbol. A memo keyed by plan keeps the walk's attempt
+        count and fused plans, and every hypothesis holding the plan adds the
+        count to the counter and replays the fused plans in walk order.
 
         A new goal-rooted plan is stored without a dedup check, since such
         an append can equal no other candidate of the call. The appended
@@ -205,27 +209,22 @@ class PhattEngine:
         prior = self.cfg.goal_prior
         counter = self.counter
         roots = self.grafted(-1, target)
-        subs_by_sym: dict[int, tuple[PlanNode, ...]] = {}
-        fused_memo: dict[tuple, PlanNode | None] = {}
+        memo: dict[PlanNode, tuple[int, list[PlanNode]]] = {}
         out: dict[tuple[PlanNode, ...], Hypothesis] = {}
         for h in hyps:
+            counter.n += len(roots)
             for plan in roots:  # a new goal-rooted plan
-                counter.n += 1
                 cand = h.with_plan(plan, prior)
                 out[cand.plans] = cand
             for pi, p in enumerate(h.plans):  # graft into an existing plan
-                for path, sym in self.frontier(p):
-                    subs = subs_by_sym.get(sym)
-                    if subs is None:
-                        subs = subs_by_sym[sym] = self.grafted(sym, target)
-                    for sub in subs:
-                        counter.n += 1
-                        key = (p, path, sub)
-                        fused = fused_memo.get(key, _UNSEEN)
-                        if fused is _UNSEEN:
-                            fused = fused_memo[key] = try_fuse(nodes, p, path, sub)
-                        if fused is not None:
-                            _merge(out, h.with_replaced(pi, fused, prior))
+                found = memo.get(p)
+                if found is None:
+                    tried = [try_fuse(nodes, p, path, sub) for path, sym in self.frontier(p)
+                             for sub in self.grafted(sym, target)]
+                    found = memo[p] = (len(tried), [f for f in tried if f is not None])
+                counter.n += found[0]
+                for node in found[1]:
+                    _merge(out, h.with_replaced(pi, node, prior))
         return out
 
     def step(self, hset: HypothesisSet, obs: int) -> HypothesisSet:
@@ -238,9 +237,6 @@ class PhattEngine:
         if not out:
             raise RecognitionFailure(n, lib.name(obs))
         return HypothesisSet(n, tuple(out.values()))
-
-
-_UNSEEN = object()
 
 
 def _merge(out: dict[tuple[PlanNode, ...], Hypothesis], cand: Hypothesis):

@@ -39,11 +39,19 @@ StepHook = Callable[[str, str, int, tuple[Hypothesis, ...]], None]
 
 
 def load_library(path: str | Path) -> PlanLibrary:
-    return parse_library(Path(path).read_text(encoding="utf-8"))
+    return parse_library(_read_text(path))
 
 
 def read_observations(path: str | Path) -> list[str]:
-    return Path(path).read_text(encoding="utf-8").split()
+    return _read_text(path).split()
+
+
+def _read_text(path: str | Path) -> str:
+    """The file's text; a file that is not UTF-8 is an I/O error naming it."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        raise OSError(f"{path}: not UTF-8 text ({err})") from err
 
 
 def parse_k(value: "int | str | None") -> int | None:

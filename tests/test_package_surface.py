@@ -19,9 +19,9 @@ ALLOWED = {
     # reads back the plan serialization of `--emit-hypotheses` dumps, so a
     # dumped state can be resumed
     "parse_hypothesis",
-    # lints a hand-written library (per-head probabilities that do not sum
-    # to 1, goals without rules, unreachable symbols, unused terminals) into
-    # a ValidationReport of its report-only findings
+    # lints a hand-written library (goals without rules, unreachable
+    # symbols, unused terminals) into a ValidationReport of its report-only
+    # findings
     "validate_library",
 }
 

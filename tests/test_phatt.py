@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -11,7 +13,8 @@ from planrec.phatt import (
     RecognitionFailure,
     default_max_depth,
 )
-from planrec.trees import Hypothesis, NodeTable, parse_hypothesis, parse_plan
+from planrec.slim import SlimEngine, TopDownConfig
+from planrec.trees import Hypothesis, NodeTable, parse_hypothesis, parse_plan, try_fuse
 
 from conftest import drive_engine
 from oracles import (
@@ -21,7 +24,7 @@ from oracles import (
     tree_weight,
     verify_hypothesis,
 )
-from test_acceptance import BENCH_A
+from test_acceptance import BENCH_A, BENCH_B
 
 
 def run(lib, names, **kw):
@@ -293,3 +296,102 @@ def test_recognize_returns_metrics(lib):
     assert steps[-1].frontier == sum(
         open_nodes(from_plan_node(p)) for h in hyps for p in h.plans
     )
+
+
+# ---------------------------------------------------------------------------
+# An advance grafts each distinct plan once
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("params, seed, prefix", [(BENCH_A, 1000, None), (BENCH_B, 2055, 8)],
+                         ids=["benchmark-a-1000", "benchmark-b-2055-prefix"])
+def test_advance_grafts_each_distinct_plan_once(monkeypatch, params, seed, prefix):
+    # a plan's grafts are worked out once per advance, however many input
+    # hypotheses hold it: its frontier is read once, in the order the plans
+    # are first seen, and feeding every hypothesis twice makes no further
+    # try_fuse call while it doubles the attempts counted; checked in every
+    # PHATT step and every level of a slim-all compile
+    lib = generate_domain(params)
+    names = simulate_agent(lib, seed)[:prefix]
+    read = []
+    fuses = [0]
+    frontier, advance = PhattEngine.frontier, PhattEngine.advance
+
+    def counted_frontier(self, plan):
+        read.append(plan)
+        return frontier(self, plan)
+
+    def counted_fuse(*args):
+        fuses[0] += 1
+        return try_fuse(*args)
+
+    checked = {"calls": 0, "shared": 0, "fuses": 0}
+
+    def checked_advance(self, hyps, target):
+        hyps = list(hyps)
+        pairs = [p for h in hyps for p in h.plans]
+        distinct = list(dict.fromkeys(pairs))  # plans hash by identity
+        read.clear()
+        out = advance(self, hyps, target)
+        assert [id(p) for p in read] == [id(p) for p in distinct]
+        runs = []
+        for advance_in in (hyps, hyps + hyps):  # the engine's memos are warm
+            fuses[0] = 0
+            before = self.counter.n
+            again = advance(self, advance_in, target)
+            runs.append(([h.canon for h in again.values()], self.counter.n - before, fuses[0]))
+        (once, n_once, fuses_once), (twice, n_twice, fuses_twice) = runs
+        assert once == [h.canon for h in out.values()]
+        assert twice == once
+        assert n_twice == 2 * n_once
+        assert fuses_twice == fuses_once
+        checked["calls"] += 1
+        checked["shared"] += len(pairs) - len(distinct)
+        checked["fuses"] += fuses_once
+        return out
+
+    monkeypatch.setattr(PhattEngine, "frontier", counted_frontier)
+    monkeypatch.setattr(PhattEngine, "advance", checked_advance)
+    monkeypatch.setattr("planrec.phatt.try_fuse", counted_fuse)
+    drive_engine(PhattEngine(lib), names)
+    phatt_checked = dict(checked)
+    slim = SlimEngine(lib, TopDownConfig.for_library(lib, k=None))
+    locals_, _ = drive_engine(slim, names)
+    assert slim.compile_top_down(locals_)[0]
+    for checks in (phatt_checked, {k: checked[k] - phatt_checked[k] for k in checked}):
+        assert checks["calls"] and checks["fuses"]
+        assert checks["shared"] > 0  # some plan was held by several hypotheses
+
+
+# Per PHATT step: the attempts counted and a digest of the ordered
+# (canon, repr(weight)) list of the hypotheses it returns, recorded from the
+# advance that memoized each fusion by (plan, path, graft).
+PHATT_STEPS = {
+    "benchmark-a-1000": [
+        (2, "79ebae17bab13806"), (6, "ba53f3f48bf21055"), (11, "94480be7ad4af81c"),
+        (29, "9b18d2b5695173d4"), (121, "bec0ec4133124bfd"), (429, "82623923482f196b"),
+        (1670, "8300358f953430cc"), (7338, "6ef2ba5a1a056ad2"), (1724, "1e82df4b8f5be335"),
+    ],
+    "benchmark-b-2071": [
+        (2, "3ab232b7f2d2ed8b"), (8, "813949c7f4206b18"), (11, "959450f0636fb812"),
+        (21, "a761f6336761b898"), (60, "f1d5a003d643ca7a"), (80, "717b002a3b8a8c89"),
+        (348, "85188bc2126a70fb"), (2308, "a6444aae482b4e28"), (9660, "736b021e32f9930d"),
+    ],
+}
+
+
+@pytest.mark.parametrize("params, seed, case", [(BENCH_A, 1000, "benchmark-a-1000"),
+                                                (BENCH_B, 2071, "benchmark-b-2071")],
+                         ids=["benchmark-a-1000", "benchmark-b-2071"])
+def test_steps_keep_candidate_order_and_counts(params, seed, case):
+    lib = generate_domain(params)
+    engine = PhattEngine(lib)
+    hset = HypothesisSet.initial()
+    steps = []
+    for name in simulate_agent(lib, seed):
+        before = engine.counter.n
+        hset = engine.step(hset, lib.sym(name))
+        listing = "\n".join(f"{h.canon} {h.weight!r}" for h in hset.hypotheses)
+        steps.append((engine.counter.n - before,
+                      hashlib.sha256(listing.encode()).hexdigest()[:16]))
+    assert steps == PHATT_STEPS[case]

@@ -306,6 +306,31 @@ def test_cli_io_error_exit_code(tmp_path, capsys):
     assert code == 4
 
 
+@pytest.mark.parametrize("command, bad", [
+    ("recognize", "library"), ("recognize", "observations"),
+    ("simulate", "library"), ("bench", "observations"),
+])
+def test_cli_text_that_is_not_utf8_is_an_io_error(workspace, capsys, command, bad):
+    tmp, lib_path, obs_dir = workspace
+    obs_path = obs_dir / "obs_001.txt"
+    bad_path = lib_path if bad == "library" else obs_path
+    bad_path.write_bytes(b"\xff\xfea c b\n")
+    written = [tmp / "out.txt", tmp / "m.csv"]
+    argv = {
+        "recognize": ["recognize", "--library", str(lib_path), "--observations", str(obs_path),
+                      "--algorithm", "slim", "--emit-hypotheses", str(written[0]),
+                      "--metrics-csv", str(written[1])],
+        "simulate": ["simulate", "--library", str(lib_path), "--out", str(written[0])],
+        "bench": ["bench", "--library", str(lib_path), "--obs-dir", str(obs_dir),
+                  "--metrics-csv", str(written[1])],
+    }[command]
+    assert main(argv) == 4
+    err = capsys.readouterr().err
+    assert f"i/o error: {bad_path}: not UTF-8 text" in err
+    assert "Traceback" not in err
+    assert not any(path.exists() for path in written)
+
+
 def test_cli_generate_and_simulate_and_bench(tmp_path, capsys):
     lib_path = tmp_path / "domain.txt"
     code = main([
