@@ -249,9 +249,11 @@ def build_library(
     symbols: list[Symbol] = []
     seen_names: set[str] = set()
     goal_set = set(goals)
-    for name in goals:
+    for i, name in enumerate(goals):
         if name not in set(nonterminals):
             fail(f"goal {name!r} is not a declared nonterminal")
+        if name in goals[:i]:
+            fail(f"duplicate goal {name!r}")
     if not goals:
         fail("empty goal set")
     for name, terminal in [(n, True) for n in terminals] + [(n, False) for n in nonterminals]:

@@ -54,23 +54,19 @@ def default_max_depth(lib: PlanLibrary) -> int:
 
 @dataclass(frozen=True)
 class PhattConfig:
-    """Engine bounds: leftmost-tree depth cap and goal priors."""
+    """Engine bounds: the leftmost-tree depth cap. The library states no
+    goal priors, so :meth:`PhattEngine.advance` takes them uniform."""
 
     max_depth: int
-    goal_prior: dict[int, float]
 
     def __post_init__(self):
         if self.max_depth < 1:
             raise ValueError("max_depth must be >= 1")
-        total = sum(self.goal_prior.values())
-        if abs(total - 1.0) > PROB_TOL:
-            raise ValueError(f"goal priors sum to {total!r}, expected 1")
 
     @classmethod
     def for_library(cls, lib: PlanLibrary, max_depth: int | None = None) -> "PhattConfig":
-        """Uniform goal priors; ``max_depth`` defaults to :func:`default_max_depth`."""
-        goal_prior = {g: 1.0 / len(lib.goals) for g in lib.goals}
-        return cls(default_max_depth(lib) if max_depth is None else max_depth, goal_prior)
+        """``max_depth`` defaults to :func:`default_max_depth`."""
+        return cls(default_max_depth(lib) if max_depth is None else max_depth)
 
 
 @dataclass(frozen=True)
@@ -204,9 +200,10 @@ class PhattEngine:
         older ones (every plan the engines build holds an observation). Two
         appends are equal only when they share the input hypothesis and the
         goal tree, and the input holds no duplicate. Grafts can collide, so
-        they go through :func:`_merge`."""
+        they go through :func:`_merge`. Every plan built here is goal-rooted
+        and carries the uniform goal prior, ``1 / len(lib.goals)``, once."""
         nodes = self.nodes
-        prior = self.cfg.goal_prior
+        prior = 1.0 / len(self.lib.goals)
         counter = self.counter
         roots = self.grafted(-1, target)
         memo: dict[PlanNode, tuple[int, list[PlanNode]]] = {}

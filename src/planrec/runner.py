@@ -96,14 +96,15 @@ def run_recognition(library_path: str | Path, obs_path: str | Path, algorithm: s
     return records[0]
 
 
-def _run(lib: PlanLibrary, obs: list[str], algorithm: str, k_values: list[int | None],
+def _run(lib: PlanLibrary, obs: list[str] | None, algorithm: str, k_values: list[int | None],
          max_depth: int | None, instance: str,
          hook: StepHook | None = None, emit_path: str | Path | None = None
          ) -> tuple[list[RunRecord], RecognitionFailure | ObservationError | None]:
     """One engine over one sequence: a record per variant (PHATT, or each SLIM
     ``k`` compiled by the same engine), and the failure that stopped it, if
     any: status ``fail@<step>`` when no hypothesis explains an observation,
-    ``error@<step>`` when it is unknown or not a terminal. An empty sequence
+    ``error@<step>`` when it is unknown or not a terminal, and ``error@0``
+    when ``obs`` is None, a file that could not be read. An empty sequence
     has no goal-rooted hypothesis: the empty hypothesis explains nothing."""
     if algorithm == "phatt":
         engine = PhattEngine(lib, PhattConfig.for_library(lib, max_depth))
@@ -118,6 +119,8 @@ def _run(lib: PlanLibrary, obs: list[str], algorithm: str, k_values: list[int | 
         variants = [(algorithm_tag("slim", k), k) for k in k_values]
     else:
         raise ValueError(f"unknown algorithm {algorithm!r}")
+    if obs is None:
+        return [RunRecord(instance, tag, status="error@0") for tag, _ in variants], None
     steps = []
     try:
         hyps = drive(lib, obs, step, engine.counter, algorithm, steps,
@@ -174,8 +177,8 @@ def run_benchmark(library_path: str | Path, obs_dir: str | Path,
     One SLIM engine per instance makes the bottom-up pass and serves every k;
     each k adds its own top-down timing, reported per instance as
     ``topdown_us``. Per-instance failures, including observations that are
-    unknown or not terminals, are recorded in the CSV status column, not
-    raised.
+    unknown or not terminals and files that cannot be read, are recorded in
+    the CSV status column, not raised.
     """
     lib = load_library(library_path)
     obs_files = sorted(Path(obs_dir).glob("*.txt"))
@@ -183,11 +186,13 @@ def run_benchmark(library_path: str | Path, obs_dir: str | Path,
         raise FileNotFoundError(f"no .txt observation files under {obs_dir}")
     records: list[RunRecord] = []
     for obs_file in obs_files:
-        instance = obs_file.stem
-        obs = read_observations(obs_file)
+        try:
+            obs = read_observations(obs_file)
+        except OSError:
+            obs = None
         for algorithm in algorithms:
             records.extend(_run(lib, obs, algorithm, k_values, max_depth,
-                                instance, step_hook)[0])
+                                obs_file.stem, step_hook)[0])
     if csv_path is not None:
         write_metrics_csv(records, csv_path)
     return summarize(records)

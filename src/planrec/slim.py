@@ -327,9 +327,11 @@ class SlimEngine:
         every plan replayed is first re-interned in this engine's ``nodes``,
         once per distinct plan object
         (:meth:`~planrec.trees.NodeTable.adopt` returns an own plan as it
-        is). The split check compares the locals' plans as given, by
-        identity: that is structural equality for locals from one table,
-        and locals mixing tables can only miss a skip, never an output.
+        is). Two plans of two tables that adopt to one target replay apart,
+        and ``out``, keyed by plan tuple, keeps one copy of what both build.
+        The split check compares the locals' plans as given, by identity:
+        that is structural equality for locals from one table, and locals
+        mixing tables can only miss a skip, never an output.
         """
         t0 = time.perf_counter_ns()
         selected = k_best(hyps, self.cfg.k)
@@ -365,16 +367,10 @@ class SlimEngine:
                     out.update(states)
                 else:
                     by_plan.setdefault(local.plans[depth], []).append(local)
-            groups: dict[PlanNode, list[Hypothesis]] = {}
             for plan, group in by_plan.items():
                 target = own.get(plan)
                 if target is None:
                     target = own[plan] = adopt(plan)
-                if target in groups:  # equal plans of two tables
-                    groups[target] += group
-                else:
-                    groups[target] = group
-            for target, group in groups.items():
                 joined = target.height > 1
                 if skip and joined and not checked:
                     group = [local for local in group if not split_selected(local)]

@@ -8,9 +8,9 @@ plan tuples, the hypotheses' deduplication key, hash and compare element by
 element at C speed. Every combination operation builds new nodes along the
 changed root-to-node path and shares everything else (persistent-tree
 semantics), so plans can be held by many hypotheses at once. The statistics a
-recognizer needs on every validity check (completeness, timestamp range,
-rule-probability product, open-frontier count) are computed once per node, when
-its table first builds it.
+recognizer needs on every validity check (timestamp range, rule-probability
+product, open-frontier count) are computed once per node, when its table first
+builds it; a node is complete exactly when its open-frontier count is 0.
 
 Serialization grammar, used for output and as the canonical ordering key; a
 node's serialization is built on first read::
@@ -42,6 +42,7 @@ class PlanNode:
     among the nodes of one table. ``label`` is the serialization of an open
     node or a leaf, and the head of an expanded node's (its name, with the
     ``#<rule>`` marker where needed); ``canon`` is built from it on first read.
+    The subtree is complete, every leaf realized, when ``open_count`` is 0.
     """
 
     __slots__ = (
@@ -49,7 +50,6 @@ class PlanNode:
         "rule",
         "children",
         "ts",
-        "complete",
         "min_ts",
         "max_ts",
         "weight",
@@ -59,13 +59,12 @@ class PlanNode:
         "_canon",
     )
 
-    def __init__(self, symbol, rule, children, ts, complete, min_ts, max_ts,
+    def __init__(self, symbol, rule, children, ts, min_ts, max_ts,
                  weight, height, open_count, label):
         self.symbol = symbol
         self.rule = rule
         self.children = children
         self.ts = ts
-        self.complete = complete
         self.min_ts = min_ts
         self.max_ts = max_ts
         self.weight = weight
@@ -123,7 +122,7 @@ def open_node(nodes: NodeTable, symbol: int) -> PlanNode:
     """The open-frontier node for a symbol."""
     node = nodes.get(symbol)
     if node is None:
-        node = nodes[symbol] = PlanNode(symbol, None, (), None, False, None, None,
+        node = nodes[symbol] = PlanNode(symbol, None, (), None, None, None,
                                         1.0, 0, 1, nodes.lib.name(symbol) + "?")
     return node
 
@@ -138,7 +137,7 @@ def realized_leaf(nodes: NodeTable, symbol: int, ts: int) -> PlanNode:
             raise ValueError(f"{lib.name(symbol)!r} is not a terminal")
         if ts < 1:
             raise ValueError("timestamps are 1-based observation indexes")
-        node = nodes[key] = PlanNode(symbol, None, (), ts, True, ts, ts,
+        node = nodes[key] = PlanNode(symbol, None, (), ts, ts, ts,
                                      1.0, 0, 0, f"{lib.name(symbol)}@{ts}")
     return node
 
@@ -150,7 +149,7 @@ def _ordering_ok(rule: Rule, children: tuple[PlanNode, ...]) -> bool:
         cj = children[j]
         if cj.min_ts is not None:
             ci = children[i]
-            if not ci.complete or ci.max_ts >= cj.min_ts:
+            if ci.open_count or ci.max_ts >= cj.min_ts:
                 return False
     return True
 
@@ -169,14 +168,12 @@ def try_expand(nodes: NodeTable, rule: Rule, children: tuple[PlanNode, ...]) -> 
 
 
 def _expanded(lib: PlanLibrary, rule: Rule, children: tuple[PlanNode, ...]) -> PlanNode:
-    complete = True
     min_ts = None
     max_ts = None
     weight = rule.prob
     height = 0
     open_count = 0
     for child in children:
-        complete = complete and child.complete
         if child.min_ts is not None:
             min_ts = child.min_ts if min_ts is None else min(min_ts, child.min_ts)
             max_ts = child.max_ts if max_ts is None else max(max_ts, child.max_ts)
@@ -186,7 +183,7 @@ def _expanded(lib: PlanLibrary, rule: Rule, children: tuple[PlanNode, ...]) -> P
     label = lib.name(rule.lhs)
     if lib.ambiguous_rhs:
         label = f"{label}#{rule.idx}"
-    return PlanNode(rule.lhs, rule, children, None, complete, min_ts, max_ts,
+    return PlanNode(rule.lhs, rule, children, None, min_ts, max_ts,
                     weight, height + 1, open_count, label)
 
 
@@ -211,7 +208,7 @@ def enabled_frontier(root: PlanNode) -> tuple[tuple[Path, int], ...]:
         for j, child in enumerate(children):
             if child.open_count:
                 preds = node.rule.preds[j]
-                if all(children[i].complete for i in preds):
+                if not any(children[i].open_count for i in preds):
                     visit(child, path + (j,))
 
     visit(root, ())
@@ -261,8 +258,8 @@ class Hypothesis:
     exactly when their plans are structurally equal. ``canon``, the ``;``-joined
     plan serializations used for output and ordering, is built on first
     read. ``weight`` is the product of all rule probabilities over all
-    plans, times the supplied per-root priors (goal priors for goal-rooted
-    hypotheses).
+    plans; a goal-rooted hypothesis's also carries the goal prior once per
+    plan, and a local's carries none.
     """
 
     __slots__ = ("plans", "weight", "_canon")
@@ -280,23 +277,24 @@ class Hypothesis:
         return canon
 
     @staticmethod
-    def build(plans: tuple[PlanNode, ...], priors=None) -> "Hypothesis":
-        """The hypothesis over ``plans``, taken in the order given."""
+    def build(plans: tuple[PlanNode, ...], prior: float | None = None) -> "Hypothesis":
+        """The hypothesis over ``plans``, taken in the order given, with the
+        goal ``prior`` once per plan (None for a local)."""
         weight = 1.0
         for plan in plans:
             weight *= plan.weight
-            if priors is not None:
-                weight *= priors.get(plan.symbol, 1.0)
+            if prior is not None:
+                weight *= prior
         return Hypothesis(plans, weight)
 
-    def with_plan(self, plan: PlanNode, priors=None) -> "Hypothesis":
+    def with_plan(self, plan: PlanNode, prior: float | None = None) -> "Hypothesis":
         """Append ``plan``, which must hold the newest observation."""
-        return Hypothesis.build(self.plans + (plan,), priors)
+        return Hypothesis.build(self.plans + (plan,), prior)
 
-    def with_replaced(self, index: int, plan: PlanNode, priors=None) -> "Hypothesis":
+    def with_replaced(self, index: int, plan: PlanNode, prior: float | None = None) -> "Hypothesis":
         """Replace plan ``index`` with ``plan`` of the same smallest timestamp."""
         plans = self.plans[:index] + (plan,) + self.plans[index + 1:]
-        return Hypothesis.build(plans, priors)
+        return Hypothesis.build(plans, prior)
 
     def __hash__(self) -> int:
         return hash(self.plans)
@@ -326,7 +324,7 @@ def parse_plan(nodes: NodeTable, text: str) -> PlanNode:
     return node
 
 
-def parse_hypothesis(nodes: NodeTable, text: str, priors=None) -> Hypothesis:
+def parse_hypothesis(nodes: NodeTable, text: str, prior: float | None = None) -> Hypothesis:
     """Parse a ``;``-joined hypothesis serialization, its plans in any order;
     they are sorted by (smallest realized timestamp, canonical form),
     unrealized plans last, the order the engines build."""
@@ -335,7 +333,7 @@ def parse_hypothesis(nodes: NodeTable, text: str, priors=None) -> Hypothesis:
         return EMPTY_HYPOTHESIS
     plans = sorted((parse_plan(nodes, part) for part in text.split(";")),
                    key=lambda p: (float("inf") if p.min_ts is None else p.min_ts, p.canon))
-    return Hypothesis.build(tuple(plans), priors)
+    return Hypothesis.build(tuple(plans), prior)
 
 
 def _parse_node(nodes: NodeTable, text: str) -> tuple[PlanNode, str]:

@@ -160,6 +160,12 @@ def reachable_symbols(lib):
 # ---------------------------------------------------------------------------
 
 
+def uniform_priors(lib):
+    """The uniform goal prior of every goal, ``{goal: 1 / len(goals)}``:
+    the one prior the engines apply, as the library format states none."""
+    return {g: 1.0 / len(lib.goals) for g in lib.goals}
+
+
 def verify_hypothesis(lib, h, n_obs, obs_syms=None, priors=None):
     """Recompute every invariant of an engine hypothesis from scratch;
     returns violation messages.
@@ -207,7 +213,7 @@ def verify_hypothesis(lib, h, n_obs, obs_syms=None, priors=None):
             1 + max(s[4] for s in stats),
             sum(s[5] for s in stats),
         )
-        cached = (node.complete, node.min_ts, node.max_ts, node.weight,
+        cached = (node.open_count == 0, node.min_ts, node.max_ts, node.weight,
                   node.height, node.open_count)
         if cached[:3] != result[:3] or cached[4:] != result[4:] or \
                 abs(cached[3] - result[3]) > 1e-9 * max(1.0, abs(result[3])):

@@ -33,7 +33,7 @@ from planrec.slim import SlimEngine, TopDownConfig
 from planrec.trees import EMPTY_HYPOTHESIS
 
 from conftest import SUITE, drive_engine
-from oracles import all_agent_prefixes, slim_oracle_run, verify_hypothesis
+from oracles import all_agent_prefixes, slim_oracle_run, uniform_priors, verify_hypothesis
 
 BENCH_A = DomainParams(num_goals=5, and_branch=3, or_branch=2, depth=3,
                        num_terminals=100, ordered_fraction=0.3, seed=11)
@@ -92,11 +92,11 @@ def bench_a(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("bench_a")
     lib, lib_path, obs_dir, obs = materialize(tmp, BENCH_A, BENCH_A_INSTANCE_SEEDS)
     log = ValidationLog()
-    prior = {g: 1.0 / len(lib.goals) for g in lib.goals}
     csv_path = tmp / "metrics.csv"
     t0 = time.perf_counter()
     summary = run_benchmark(lib_path, obs_dir, ["phatt", "slim"], [0],
-                            csv_path=csv_path, step_hook=log.hook(lib, obs, prior))
+                            csv_path=csv_path,
+                            step_hook=log.hook(lib, obs, uniform_priors(lib)))
     wall = time.perf_counter() - t0
     return {
         "lib_path": lib_path, "obs_dir": obs_dir, "summary": summary,
@@ -111,10 +111,9 @@ def bench_b(tmp_path_factory):
     stats = library_stats(lib)
     assert stats.num_complex_actions == 140 and stats.plan_leaf_count == 9
     log = ValidationLog()
-    prior = {g: 1.0 / len(lib.goals) for g in lib.goals}
     t0 = time.perf_counter()
     summary = run_benchmark(lib_path, obs_dir, ["phatt", "slim"], [0, 100, None],
-                            step_hook=log.hook(lib, obs, prior))
+                            step_hook=log.hook(lib, obs, uniform_priors(lib)))
     wall = time.perf_counter() - t0
     return {"summary": summary, "wall": wall, "log": log}
 
@@ -173,7 +172,7 @@ def test_criterion_2_completeness_equivalence():
             obs = [lib.sym(n) for n in names]
             for h in goal_rooted:
                 assert verify_hypothesis(lib, h, len(names), obs_syms=obs,
-                                         priors=phatt_cfg.goal_prior) == []
+                                         priors=uniform_priors(lib)) == []
     elapsed = time.perf_counter() - t0
     ok = grammars >= 5 and elapsed < 60.0
     report(2, ok, f"{grammars} grammars, {sequences} observation prefixes: "
@@ -300,7 +299,7 @@ def test_criterion_7_invariant_suite(lib, bench_a, bench_b):
                 checked += 1
                 failures.extend(
                     verify_hypothesis(suite_lib, h, len(seq), obs_syms=seq,
-                                      priors=cfg.goal_prior)
+                                      priors=uniform_priors(suite_lib))
                 )
     ok = not failures and checked > 100_000
     report(7, ok, f"{checked} hypotheses re-verified brute-force, "

@@ -80,6 +80,17 @@ def test_constraint_cycle_rejected():
     assert err.value.line == 6
 
 
+@pytest.mark.parametrize("goal_lines", ["goals: X X", "goals: X\ngoals: X"],
+                         ids=["one-line", "two-lines"])
+def test_duplicate_goal_rejected(goal_lines):
+    # a repeated goal would weigh every goal-rooted plan by a wrong prior
+    # and walk its goal trees twice
+    text = f"terminals: a\nnonterminals: X\n{goal_lines}\nrule: X -> a | | 1.0"
+    with pytest.raises(LibraryError) as err:
+        parse_library(text)
+    assert str(err.value) == "duplicate goal 'X'"
+
+
 def test_duplicate_rule_rejected():
     text = (
         "terminals: a\nnonterminals: X\ngoals: X\n"

@@ -22,6 +22,7 @@ from oracles import (
     enumerate_goal_hypotheses,
     from_plan_node,
     tree_weight,
+    uniform_priors,
     verify_hypothesis,
 )
 from test_acceptance import BENCH_A, BENCH_B
@@ -43,12 +44,13 @@ def trees_from(lib, root, target, max_depth):
     return PhattEngine(lib, PhattConfig.for_library(lib, max_depth)).trees_from(root, target)
 
 
-def hypothesis_probability(h, lib, cfg):
+def hypothesis_probability(h, lib):
     """The oracle's rule-probability product of every plan, times the goal
     prior of every goal-rooted plan (fresh traversal, no caches)."""
+    priors = uniform_priors(lib)
     total = 1.0
     for plan in h.plans:
-        total *= tree_weight(lib, from_plan_node(plan)) * cfg.goal_prior.get(plan.symbol, 1.0)
+        total *= tree_weight(lib, from_plan_node(plan)) * priors.get(plan.symbol, 1.0)
     return total
 
 
@@ -140,7 +142,7 @@ def test_each_step_extends_by_one_timestamp(lib):
         assert hset.step == n
         for h in hset.hypotheses:
             assert max(p.max_ts for p in h.plans) == n
-            assert verify_hypothesis(lib, h, n, priors=cfg.goal_prior) == []
+            assert verify_hypothesis(lib, h, n, priors=uniform_priors(lib)) == []
 
 
 def test_resumption_from_serialized_intermediate(lib):
@@ -151,7 +153,8 @@ def test_resumption_from_serialized_intermediate(lib):
     # parsed into the resuming engine's node table, as its step requires
     engine = PhattEngine(lib, cfg)
     rebuilt = tuple(
-        parse_hypothesis(engine.nodes, h.canon, priors=cfg.goal_prior) for h in mid.hypotheses
+        parse_hypothesis(engine.nodes, h.canon, prior=1.0 / len(lib.goals))
+        for h in mid.hypotheses
     )
     resumed = engine.step(HypothesisSet(2, rebuilt), lib.sym("b"))
     assert canons(resumed) == canons(straight)
@@ -166,11 +169,10 @@ def test_resumption_from_serialized_intermediate(lib):
 
 
 def test_probability_all_unit_rules(lib):
-    cfg = PhattConfig.for_library(lib)
     hset = run(lib, ["a", "c", "b"])
     for h in hset.hypotheses:
         # single goal, uniform prior: every factor is 1
-        assert hypothesis_probability(h, lib, cfg) == pytest.approx(1.0 * 1.0)
+        assert hypothesis_probability(h, lib) == pytest.approx(1.0 * 1.0)
 
 
 def test_probability_single_non_unit_rule():
@@ -178,9 +180,8 @@ def test_probability_single_non_unit_rule():
         "terminals: a b\nnonterminals: X A\ngoals: X\n"
         "rule: X -> A | | 0.4\nrule: X -> b | | 0.6\nrule: A -> a | | 1.0"
     )
-    cfg = PhattConfig.for_library(lib)
-    h = Hypothesis.build((parse_plan(NodeTable(lib), "X(A(a@1))"),), cfg.goal_prior)
-    assert hypothesis_probability(h, lib, cfg) == pytest.approx(0.4)
+    h = Hypothesis.build((parse_plan(NodeTable(lib), "X(A(a@1))"),), 1.0)  # the one goal's prior
+    assert hypothesis_probability(h, lib) == pytest.approx(0.4)
     assert h.weight == pytest.approx(0.4)
 
 
@@ -190,25 +191,21 @@ def test_probability_two_plans_with_priors():
         "rule: X -> A | | 0.4\nrule: X -> b | | 0.6\n"
         "rule: Y -> b | | 1.0\nrule: A -> a | | 1.0"
     )
-    cfg = PhattConfig.for_library(lib)  # uniform prior 0.5 per goal
     nodes = NodeTable(lib)
     plans = (parse_plan(nodes, "X(A(a@1))"), parse_plan(nodes, "X(A(a@2))"))
-    h = Hypothesis.build(plans, cfg.goal_prior)
-    assert hypothesis_probability(h, lib, cfg) == pytest.approx(0.4 * 0.5 * 0.4 * 0.5)
+    h = Hypothesis.build(plans, 0.5)  # uniform prior 0.5 per goal
+    assert hypothesis_probability(h, lib) == pytest.approx(0.4 * 0.5 * 0.4 * 0.5)
     assert h.weight == pytest.approx(0.04)
 
 
 def test_weight_matches_fresh_traversal(lib):
-    cfg = PhattConfig.for_library(lib)
     for h in run(lib, ["a", "c", "b"]).hypotheses:
-        assert h.weight == pytest.approx(hypothesis_probability(h, lib, cfg))
+        assert h.weight == pytest.approx(hypothesis_probability(h, lib))
 
 
-def test_goal_prior_validation(lib):
+def test_config_rejects_zero_depth():
     with pytest.raises(ValueError):
-        PhattConfig(4, {lib.sym("X"): 0.5})
-    with pytest.raises(ValueError):
-        PhattConfig(0, {lib.sym("X"): 1.0})
+        PhattConfig(0)
 
 
 def test_for_library_rejects_zero_depth(lib):

@@ -298,6 +298,17 @@ def test_cli_parse_error_exit_code(tmp_path, capsys):
     assert "library error" in capsys.readouterr().err
 
 
+def test_cli_duplicate_goal_is_a_library_error(workspace, capsys):
+    _, lib_path, obs_dir = workspace
+    lib_path.write_text(RUNNING_EXAMPLE.replace("goals: X", "goals: X X"))
+    code = main(["recognize", "--library", str(lib_path),
+                 "--observations", str(obs_dir / "obs_000.txt"), "--algorithm", "phatt"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "library error: duplicate goal 'X'" in err
+    assert "Traceback" not in err
+
+
 def test_cli_io_error_exit_code(tmp_path, capsys):
     code = main([
         "recognize", "--library", str(tmp_path / "missing.txt"),
@@ -307,8 +318,7 @@ def test_cli_io_error_exit_code(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command, bad", [
-    ("recognize", "library"), ("recognize", "observations"),
-    ("simulate", "library"), ("bench", "observations"),
+    ("recognize", "library"), ("recognize", "observations"), ("simulate", "library"),
 ])
 def test_cli_text_that_is_not_utf8_is_an_io_error(workspace, capsys, command, bad):
     tmp, lib_path, obs_dir = workspace
@@ -321,14 +331,31 @@ def test_cli_text_that_is_not_utf8_is_an_io_error(workspace, capsys, command, ba
                       "--algorithm", "slim", "--emit-hypotheses", str(written[0]),
                       "--metrics-csv", str(written[1])],
         "simulate": ["simulate", "--library", str(lib_path), "--out", str(written[0])],
-        "bench": ["bench", "--library", str(lib_path), "--obs-dir", str(obs_dir),
-                  "--metrics-csv", str(written[1])],
     }[command]
     assert main(argv) == 4
     err = capsys.readouterr().err
     assert f"i/o error: {bad_path}: not UTF-8 text" in err
     assert "Traceback" not in err
     assert not any(path.exists() for path in written)
+
+
+def test_bench_records_an_unreadable_instance_and_goes_on(workspace, capsys):
+    # an instance that is not UTF-8 is error@0 for every variant; the other
+    # one still runs and the bench exits 0
+    tmp, lib_path, obs_dir = workspace
+    (obs_dir / "obs_001.txt").write_bytes(b"\xff\xfea c b\n")
+    (obs_dir / "obs_002.txt").unlink()
+    csv_path = tmp / "m.csv"
+    assert main(["bench", "--library", str(lib_path), "--obs-dir", str(obs_dir),
+                 "--k-list", "0,all", "--metrics-csv", str(csv_path)]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    rows = [line.split(",") for line in csv_path.read_text().splitlines()[1:]]
+    variants = ["phatt", "slim-0", "slim-all"]
+    assert {(row[0], row[1]): row[-1] for row in rows} == {
+        **{("obs_000", v): "ok" for v in variants},
+        **{("obs_001", v): "error@0" for v in variants},
+    }
+    assert [row[1:3] for row in rows if row[0] == "obs_001"] == [[v, "0"] for v in variants]
 
 
 def test_cli_generate_and_simulate_and_bench(tmp_path, capsys):

@@ -431,14 +431,11 @@ def test_recognition_leaves_the_library_unchanged():
 
 
 def test_top_down_config_validates_like_phatt(lib):
-    x = lib.sym("X")
     cfg = TopDownConfig.for_library(lib, k=7)
     assert isinstance(cfg, PhattConfig)
-    assert (cfg.k, cfg.max_depth, cfg.goal_prior) == (7, 4, {x: 1.0})
+    assert (cfg.k, cfg.max_depth) == (7, 4)
     with pytest.raises(ValueError):
-        TopDownConfig(4, {x: 0.5}, None)  # priors must sum to 1
-    with pytest.raises(ValueError):
-        TopDownConfig(0, {x: 1.0}, None)
+        TopDownConfig(0, None)
     with pytest.raises(ValueError):
         TopDownConfig.for_library(lib, k=None, max_depth=0)
     with pytest.raises(ValueError):
@@ -875,6 +872,33 @@ def test_bottom_up_keeps_candidate_order_and_counts(params, seed, prefix, case):
     assert steps == BOTTOM_UP_STEPS[case]
 
 
+# Per top-down compile of the locals the bottom-up pass ends with: the
+# attempts counted, the hypotheses returned and a digest of their ordered
+# (canon, repr(weight)) list; the digest moves with any bit of any weight.
+COMPILES = {
+    "slim-all-benchmark-a-1000": (2655, 1724, "cf82a5378afafe54"),
+    "slim-all-benchmark-b-2071": (12498, 9660, "6231377656a7721b"),
+    "slim-100-benchmark-b-2071": (203, 94, "466d58b878a16f12"),
+}
+
+
+@pytest.mark.parametrize("params, seed, k, case",
+                         [(BENCH_A, 1000, None, "slim-all-benchmark-a-1000"),
+                          (BENCH_B, 2071, None, "slim-all-benchmark-b-2071"),
+                          (BENCH_B, 2071, 100, "slim-100-benchmark-b-2071")],
+                         ids=["slim-all-benchmark-a-1000", "slim-all-benchmark-b-2071",
+                              "slim-100-benchmark-b-2071"])
+def test_compile_keeps_output_and_counts(params, seed, k, case):
+    lib = generate_domain(params)
+    engine = SlimEngine(lib, TopDownConfig.for_library(lib, k=k))
+    locals_, _ = drive_engine(engine, simulate_agent(lib, seed))
+    before = engine.counter.n
+    goal_rooted, _ = engine.compile_top_down(locals_)
+    listing = "\n".join(f"{h.canon} {h.weight!r}" for h in goal_rooted)
+    assert (engine.counter.n - before, len(goal_rooted),
+            hashlib.sha256(listing.encode()).hexdigest()[:16]) == COMPILES[case]
+
+
 # ---------------------------------------------------------------------------
 # Appends skip the dedup check
 # ---------------------------------------------------------------------------
@@ -960,10 +984,23 @@ rule: Y -> y | | 1.0
 
 
 @pytest.mark.parametrize("case", ["running-example", "benchmark-a-1000", "benchmark-b-2071",
-                                  "goal-rooted-beside-its-split"])
+                                  "goal-rooted-beside-its-split", "mixed-tables"])
 def test_fresh_engine_compiles_another_engines_locals(lib, case):
     # the locals' plans belong to the node table of the engine that built
     # them; a fresh engine adopts them into its own before it compiles
+    if case == "mixed-tables":
+        # two engines' locals over one sequence: every plan comes in two
+        # tables, and compiled together they give what one engine's give
+        lib = generate_domain(BENCH_B)
+        names = simulate_agent(lib, 2071)
+        owner = SlimEngine(lib, cfg_all(lib))
+        locals_, _ = drive_engine(owner, names)
+        built = ranked(owner.compile_top_down(locals_)[0])
+        other, _ = drive_engine(SlimEngine(lib, cfg_all(lib)), names)
+        fresh = SlimEngine(lib, cfg_all(lib))
+        assert ranked(fresh.compile_top_down(locals_ + other)[0]) == built
+        assert len(built) == 9660
+        return
     if case == "goal-rooted-beside-its-split":
         lib = parse_library(GOAL_ROOTED_BESIDE_SPLIT)
         owner = SlimEngine(lib, cfg_all(lib))

@@ -40,12 +40,11 @@ def test_parse_plan_round_trips(nodes):
 def test_node_states_and_caches(nodes):
     plan = build(nodes, "X(A(a@1) B? C(c@2))")
     assert plan.min_ts == 1 and plan.max_ts == 2
-    assert not plan.complete
-    assert plan.open_count == 1
+    assert plan.open_count == 1  # not complete
     assert plan.height == 2
     assert plan.weight == 1.0
     done = build(nodes, "X(A(a@1) B(b@3) C(c@2))")
-    assert done.complete and done.open_count == 0
+    assert done.open_count == 0  # complete
 
 
 def test_enabled_frontier_examples(lib, nodes):
@@ -71,7 +70,7 @@ def test_fuse_running_example(nodes):
     fragment = build(nodes, "B(b@3)")
     fused = try_fuse(nodes, hyp2_plan, (1,), fragment)
     assert fused.canon == "X(A(a@1) B(b@3) C(c@2))"
-    assert fused.complete
+    assert fused.open_count == 0  # complete
     # inputs unchanged (persistent semantics)
     assert hyp2_plan.canon == "X(A(a@1) B? C(c@2))"
     assert fragment.canon == "B(b@3)"
@@ -118,7 +117,7 @@ def test_check_temporal_consistency(lib, nodes):
     bad = PlanNode(
         lib.sym("X"), x_rule(lib),
         (open_node(nodes, lib.sym("A")), build(nodes, "B(b@1)"), open_node(nodes, lib.sym("C"))),
-        None, False, 1, 1, 1.0, 2, 2, "X",
+        None, 1, 1, 1.0, 2, 2, "X",
     )
     assert bad.canon == "X(A? B(b@1) C?)"
     assert not consistent(lib, from_plan_node(bad))
@@ -184,8 +183,7 @@ def test_hypothesis_sorting_by_min_ts(nodes):
 
 
 def test_hypothesis_weight_with_priors(lib, nodes):
-    prior = {lib.sym("X"): 0.25}
-    h = Hypothesis.build((build(nodes, "X(A(a@1) B? C?)"),), prior)
+    h = Hypothesis.build((build(nodes, "X(A(a@1) B? C?)"),), 0.25)
     assert h.weight == pytest.approx(0.25)
     local = Hypothesis.build((build(nodes, "A(a@1)"),))
     assert local.weight == pytest.approx(1.0)
@@ -318,8 +316,8 @@ def test_adopt_rebuilds_foreign_nodes_once(lib, nodes):
     other = parse_plan(NodeTable(lib), "X(A(a@1) B(b@3) C(c@2))")
     adopted = nodes.adopt(other)
     assert adopted is not other and adopted.canon == other.canon
-    assert (adopted.weight, adopted.min_ts, adopted.max_ts, adopted.complete) == \
-        (other.weight, other.min_ts, other.max_ts, other.complete)
+    assert (adopted.weight, adopted.min_ts, adopted.max_ts, adopted.open_count) == \
+        (other.weight, other.min_ts, other.max_ts, other.open_count)
     assert adopted.children[0] is own.children[0] and adopted.children[2] is own.children[2]
     assert len(nodes) == size + 3  # b@3, B(b@3) and the root
     assert nodes.adopt(other) is adopted
