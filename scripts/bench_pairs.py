@@ -1,0 +1,142 @@
+#!/usr/bin/env python3
+"""Compare two checkouts on one perfbench workload in alternating pairs.
+
+Pair i runs ``perfbench/run.py --workload W --seed B+i --seconds S --trace 0``
+once in each checkout, the parent first on even pairs and the change first
+on odd ones, so drift in host load falls on both sides. Each run's last
+standard-output line is its JSON result. Per end-to-end metric the script
+prints each side's median and quartiles, the change/parent ratio of the
+medians, how many pairs the change won, and whether a gain claim holds: at
+least 10 pairs, the change better in at least 9 of 10, and the gap between
+the medians larger than the parent's quartile distance.
+
+Usage:
+    python scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --workload b4-online \
+        --pairs 10 --seconds 40 --seed-base 71
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+MIN_PAIRS = 10
+MIN_WIN_FRAC = 0.9
+
+
+def last_json(stdout: str) -> dict:
+    """The JSON object on the last non-empty line of a perfbench run."""
+    lines = [line for line in stdout.splitlines() if line.strip()]
+    if not lines:
+        raise ValueError("perfbench printed nothing")
+    return json.loads(lines[-1])
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    """(first quartile, median, third quartile), inclusive method."""
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+def summarize(parent: list[dict], change: list[dict],
+              better: dict[str, str] | None = None) -> list[dict]:
+    """One row per metric present in every run of both sides, in the order
+    of the first parent run. ``parent[i]`` and ``change[i]`` are the JSON
+    results of pair i; ``better`` maps a metric to "lower" (the default) or
+    "higher"."""
+    if len(parent) != len(change) or not parent:
+        raise ValueError("need the same, nonzero number of runs on each side")
+    better = better or {}
+    names = [name for name in parent[0]["metrics"]
+             if all(name in run["metrics"] for run in parent + change)]
+    rows = []
+    for name in names:
+        old = [run["metrics"][name]["value"] for run in parent]
+        new = [run["metrics"][name]["value"] for run in change]
+        sign = -1 if better.get(name, "lower") == "higher" else 1
+        wins = sum(sign * (n - o) < 0 for o, n in zip(old, new))
+        old_q, new_q = quartiles(old), quartiles(new)
+        gap = sign * (old_q[1] - new_q[1])  # > 0 when the change is better
+        rows.append({
+            "metric": name,
+            "unit": parent[0]["metrics"][name].get("unit", ""),
+            "parent": old_q,
+            "change": new_q,
+            "ratio": new_q[1] / old_q[1] if old_q[1] else float("nan"),
+            "wins": wins,
+            "pairs": len(old),
+            "claim": (len(old) >= MIN_PAIRS and wins >= MIN_WIN_FRAC * len(old)
+                      and gap > old_q[2] - old_q[0]),
+        })
+    return rows
+
+
+def format_rows(rows: list[dict]) -> str:
+    head = (f"{'metric':20s} {'parent q1/med/q3':>26s} {'change q1/med/q3':>26s} "
+            f"{'ratio':>7s} {'wins':>6s} claim")
+    lines = [head]
+    for r in rows:
+        old = "/".join(f"{v:.4g}" for v in r["parent"])
+        new = "/".join(f"{v:.4g}" for v in r["change"])
+        lines.append(f"{r['metric']:20s} {old:>26s} {new:>26s} {r['ratio']:7.3f} "
+                     f"{r['wins']:>3d}/{r['pairs']:<2d} {'yes' if r['claim'] else 'no'}")
+    return "\n".join(lines)
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", "0"],
+        cwd=checkout, capture_output=True, text=True)
+    if proc.returncode not in (0, 1):  # 1: an output check failed; still a result
+        raise RuntimeError(f"{checkout}: perfbench exited {proc.returncode}\n{proc.stderr}")
+    return last_json(proc.stdout)
+
+
+def _better(checkout: Path) -> dict[str, str]:
+    path = checkout / "BENCHMARK.json"
+    if not path.is_file():
+        return {}
+    design = json.loads(path.read_text(encoding="utf-8"))
+    return {m["name"]: m.get("better", "lower") for m in design.get("end_to_end", ())}
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("parent", type=Path, help="checkout of the parent commit")
+    ap.add_argument("change", type=Path, help="checkout of the change")
+    ap.add_argument("--workload", required=True)
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--seconds", type=float, default=40.0)
+    ap.add_argument("--seed-base", type=int, default=1)
+    args = ap.parse_args()
+    if args.pairs < 1:
+        ap.error("--pairs must be >= 1")
+    for checkout in (args.parent, args.change):
+        if not (checkout / "perfbench" / "run.py").is_file():
+            ap.error(f"{checkout}: no perfbench/run.py")
+
+    parent, change = [], []
+    for i in range(args.pairs):
+        seed = args.seed_base + i
+        sides = [(args.parent, parent), (args.change, change)]
+        for checkout, runs in (sides if i % 2 == 0 else sides[::-1]):
+            result = run_once(checkout.resolve(), args.workload, seed, args.seconds)
+            runs.append(result)
+            status = "correct" if result.get("correct") else "NOT CORRECT"
+            print(f"pair {i + 1} seed {seed} {checkout}: {status}, "
+                  f"{result.get('failed', '?')} failed", flush=True)
+    print(f"workload {args.workload}, {args.pairs} pairs, seeds "
+          f"{args.seed_base}..{args.seed_base + args.pairs - 1}")
+    print(format_rows(summarize(parent, change, _better(args.change))))
+    return 0 if all(run.get("correct") for run in parent + change) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -114,16 +114,16 @@ class HypothesisSet:
 
 class PhattEngine:
     """Stateful wrapper owning the engine's node table and caching leftmost
-    trees, grafts and frontiers across calls.
+    trees, grafts, frontiers and graft walks for the engine's life.
 
     ``nodes``, the engine's :class:`~planrec.trees.NodeTable`, builds every
     node the engine makes, so equal structures are one object and the
     hypotheses, memos and dedup keys compare plans by identity: the caches
-    key on plan nodes, and :meth:`advance` grafts each distinct plan of its
-    input once. The caches never affect results: :meth:`advance` and
-    :meth:`step` are pure functions of their arguments, whatever the engine
-    has seen before, given arguments built from ``nodes`` (its own results,
-    or plans parsed with ``parse_hypothesis(engine.nodes, ...)``).
+    key on plan nodes, and :meth:`advance` walks each plan once per target.
+    The caches never affect results: :meth:`advance` and :meth:`step` are
+    pure functions of their arguments, whatever the engine has seen before,
+    given arguments built from ``nodes`` (its own results, or plans parsed
+    with ``parse_hypothesis(engine.nodes, ...)``).
     """
 
     def __init__(self, lib: PlanLibrary, cfg: PhattConfig | None = None,
@@ -135,6 +135,7 @@ class PhattEngine:
         self._tree_memo: dict[tuple[int, int], tuple[LeftmostTree, ...]] = {}
         self._frontier_memo: dict[PlanNode, tuple[tuple[Path, int], ...]] = {}
         self._graft_memo: dict[tuple[int, PlanNode], tuple[PlanNode, ...]] = {}
+        self._fuse_memo: dict[PlanNode, dict[PlanNode, tuple[int, tuple[PlanNode, ...]]]] = {}
 
     def trees_from(self, root_sym: int, target: int) -> tuple[LeftmostTree, ...]:
         """All leftmost trees of depth <= ``max_depth`` deriving ``target``
@@ -187,11 +188,13 @@ class PhattEngine:
         first built.
 
         A graft into a plan does not depend on the hypothesis holding it, so
-        each distinct plan of ``hyps`` is walked once per call: every entry
+        each distinct plan is walked once per engine and target: every entry
         of its :meth:`frontier` is fused with every :meth:`grafted` plan of
-        the entry's symbol. A memo keyed by plan keeps the walk's attempt
-        count and fused plans, and every hypothesis holding the plan adds the
-        count to the counter and replays the fused plans in walk order.
+        the entry's symbol. A memo keyed by target, then plan, keeps the
+        walk's attempt count and fused plans for the engine's life (compile
+        levels, slim-k variants and queries share walks), and every
+        hypothesis holding the plan adds the count to the counter and
+        replays the fused plans in walk order.
 
         A new goal-rooted plan is stored without a dedup check, since such
         an append can equal no other candidate of the call. The appended
@@ -206,7 +209,7 @@ class PhattEngine:
         prior = 1.0 / len(self.lib.goals)
         counter = self.counter
         roots = self.grafted(-1, target)
-        memo: dict[PlanNode, tuple[int, list[PlanNode]]] = {}
+        memo = self._fuse_memo.setdefault(target, {})
         out: dict[tuple[PlanNode, ...], Hypothesis] = {}
         for h in hyps:
             counter.n += len(roots)
@@ -218,7 +221,7 @@ class PhattEngine:
                 if found is None:
                     tried = [try_fuse(nodes, p, path, sub) for path, sym in self.frontier(p)
                              for sub in self.grafted(sym, target)]
-                    found = memo[p] = (len(tried), [f for f in tried if f is not None])
+                    found = memo[p] = (len(tried), tuple(f for f in tried if f is not None))
                 counter.n += found[0]
                 for node in found[1]:
                     _merge(out, h.with_replaced(pi, node, prior))

@@ -13,10 +13,12 @@ of a fragment, over the plan's enabled frontier. Local hypotheses never grow
 paths toward the goals; on demand, the top-down compiler replays their plans
 (in creation order) through :meth:`PhattEngine.advance`, the modified-PHATT
 step that PHATT runs with a realized leaf as the target and the compiler runs
-with each plan, grafted into goal-rooted leftmost trees. A local's plans stay
-in creation order, ascending smallest timestamp, unsorted: a standalone
-fragment is appended holding the newest observation, and the other three
-combinations keep the smallest timestamp of the plan they replace.
+with each plan, grafted into goal-rooted leftmost trees. The compile's levels,
+its slim-k variants and the queries of one engine share that engine's graft
+walks, one per (plan, target). A local's plans stay in creation order,
+ascending smallest timestamp, unsorted: a standalone fragment is appended
+holding the newest observation, and the other three combinations keep the
+smallest timestamp of the plan they replace.
 
 A joined local, one holding a plan of height above 1, usually compiles to
 nothing its split does not: the split keeps only the local's fragments, each
@@ -296,10 +298,13 @@ class SlimEngine:
 
         Each local's plans are replayed in order, so every plan a replay
         appends holds the newest observation. Locals share state computation
-        over common plan-sequence prefixes; the output equals compiling each
-        local alone and keeping one copy of each hypothesis, ranked by weight
-        and then canonical form (a total order on distinct hypotheses), so
-        the order of the locals does not matter.
+        over common plan-sequence prefixes, and every level, compile and
+        query of this engine shares the graft walks of
+        :meth:`PhattEngine.advance`, one per (plan, target) over the engine's
+        life. The output equals compiling each local alone and keeping one
+        copy of each hypothesis, ranked by weight and then canonical form (a
+        total order on distinct hypotheses), so the order of the locals does
+        not matter.
 
         A selected local L is skipped when some plan of L has height above 1
         and L's split is selected too. The split is L's fragments, its

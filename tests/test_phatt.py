@@ -13,7 +13,7 @@ from planrec.phatt import (
     RecognitionFailure,
     default_max_depth,
 )
-from planrec.slim import SlimEngine, TopDownConfig
+from planrec.slim import SlimEngine, TopDownConfig, k_best
 from planrec.trees import Hypothesis, NodeTable, parse_hypothesis, parse_plan, try_fuse
 
 from conftest import drive_engine
@@ -296,68 +296,114 @@ def test_recognize_returns_metrics(lib):
 
 
 # ---------------------------------------------------------------------------
-# An advance grafts each distinct plan once
+# An engine walks each (plan, target) once
 # ---------------------------------------------------------------------------
 
 
+def run_phatt_steps(lib, names):
+    drive_engine(PhattEngine(lib), names)
+
+
+def run_online(lib, names):
+    # one engine compiles its k=1000 best locals after every observation
+    engine = SlimEngine(lib, TopDownConfig.for_library(lib, k=1000))
+    drive_engine(engine, names, lambda ts, hyps: engine.compile_top_down(hyps))
+
+
+def run_slim_100_then_all(lib, names):
+    # the runner's slim-k variants: one engine compiles its 100 best locals,
+    # then all of them
+    engine = SlimEngine(lib, TopDownConfig.for_library(lib, k=None))
+    locals_, _ = drive_engine(engine, names)
+    engine.compile_top_down(k_best(locals_, 100))
+    assert engine.compile_top_down(locals_)[0]
+
+
+@pytest.mark.parametrize("run_engine", [run_phatt_steps, run_online, run_slim_100_then_all],
+                         ids=["phatt-steps", "online", "slim-100-then-all"])
 @pytest.mark.parametrize("params, seed, prefix", [(BENCH_A, 1000, None), (BENCH_B, 2055, 8)],
                          ids=["benchmark-a-1000", "benchmark-b-2055-prefix"])
-def test_advance_grafts_each_distinct_plan_once(monkeypatch, params, seed, prefix):
-    # a plan's grafts are worked out once per advance, however many input
-    # hypotheses hold it: its frontier is read once, in the order the plans
-    # are first seen, and feeding every hypothesis twice makes no further
-    # try_fuse call while it doubles the attempts counted; checked in every
-    # PHATT step and every level of a slim-all compile
+def test_advance_walks_each_plan_once_per_engine_and_target(monkeypatch, params, seed, prefix,
+                                                            run_engine):
+    # a plan's grafts of one target are worked out once over the engine's
+    # life, however many hypotheses, advances, compile levels and queries
+    # hold the plan: its frontier is read and its try_fuse walk made at most
+    # once per distinct (plan, target), and repeating an advance makes no
+    # try_fuse call while it counts the same attempts and returns the same
+    # hypotheses in the same order; feeding every hypothesis twice doubles
+    # the attempts counted
     lib = generate_domain(params)
     names = simulate_agent(lib, seed)[:prefix]
-    read = []
+    walked: dict[PhattEngine, set] = {}  # the (plan, target) pairs walked
+    fused: dict[PhattEngine, set] = {}  # the (target, plan, path, graft) fusions walked
+    current = []  # (engine, target) of the advance in progress
+    grafting = [0]  # try_fuse calls inside grafted build leftmost grafts, not walks
     fuses = [0]
-    frontier, advance = PhattEngine.frontier, PhattEngine.advance
+    checked = {"calls": 0, "walks": 0, "fuses": 0, "shared": 0}
+    frontier, grafted, advance = PhattEngine.frontier, PhattEngine.grafted, PhattEngine.advance
 
     def counted_frontier(self, plan):
-        read.append(plan)
+        if current:  # SLIM's bottom-up reads frontiers too; only walks count
+            engine, target = current[-1]
+            assert engine is self
+            pairs = walked.setdefault(self, set())
+            assert (plan, target) not in pairs, "a (plan, target) walked twice"
+            pairs.add((plan, target))
+            checked["walks"] += 1
         return frontier(self, plan)
 
-    def counted_fuse(*args):
-        fuses[0] += 1
-        return try_fuse(*args)
+    def counted_grafted(self, root_sym, target):
+        grafting[0] += 1
+        try:
+            return grafted(self, root_sym, target)
+        finally:
+            grafting[0] -= 1
 
-    checked = {"calls": 0, "shared": 0, "fuses": 0}
+    def counted_fuse(nodes, plan, path, sub):
+        fuses[0] += 1
+        if current and not grafting[0]:
+            engine, target = current[-1]
+            seen = fused.setdefault(engine, set())
+            assert (target, plan, path, sub) not in seen, "a walk's fusion made twice"
+            seen.add((target, plan, path, sub))
+            checked["fuses"] += 1
+        return try_fuse(nodes, plan, path, sub)
 
     def checked_advance(self, hyps, target):
         hyps = list(hyps)
-        pairs = [p for h in hyps for p in h.plans]
-        distinct = list(dict.fromkeys(pairs))  # plans hash by identity
-        read.clear()
-        out = advance(self, hyps, target)
-        assert [id(p) for p in read] == [id(p) for p in distinct]
-        runs = []
-        for advance_in in (hyps, hyps + hyps):  # the engine's memos are warm
-            fuses[0] = 0
+        pairs = walked.setdefault(self, set())
+        checked["shared"] += sum((p, target) in pairs for h in hyps for p in h.plans)
+        current.append((self, target))
+        try:
             before = self.counter.n
-            again = advance(self, advance_in, target)
-            runs.append(([h.canon for h in again.values()], self.counter.n - before, fuses[0]))
+            out = advance(self, hyps, target)
+            n_first = self.counter.n - before
+            runs = []
+            for advance_in in (hyps, hyps + hyps):  # every walk is memoized now
+                fuses[0] = 0
+                before = self.counter.n
+                again = advance(self, advance_in, target)
+                runs.append(([h.canon for h in again.values()], self.counter.n - before,
+                             fuses[0]))
+        finally:
+            current.pop()
         (once, n_once, fuses_once), (twice, n_twice, fuses_twice) = runs
-        assert once == [h.canon for h in out.values()]
-        assert twice == once
-        assert n_twice == 2 * n_once
-        assert fuses_twice == fuses_once
+        assert once == twice == [h.canon for h in out.values()]
+        assert n_once == n_first and n_twice == 2 * n_first
+        assert fuses_once == fuses_twice == 0
         checked["calls"] += 1
-        checked["shared"] += len(pairs) - len(distinct)
-        checked["fuses"] += fuses_once
         return out
 
     monkeypatch.setattr(PhattEngine, "frontier", counted_frontier)
+    monkeypatch.setattr(PhattEngine, "grafted", counted_grafted)
     monkeypatch.setattr(PhattEngine, "advance", checked_advance)
     monkeypatch.setattr("planrec.phatt.try_fuse", counted_fuse)
-    drive_engine(PhattEngine(lib), names)
-    phatt_checked = dict(checked)
-    slim = SlimEngine(lib, TopDownConfig.for_library(lib, k=None))
-    locals_, _ = drive_engine(slim, names)
-    assert slim.compile_top_down(locals_)[0]
-    for checks in (phatt_checked, {k: checked[k] - phatt_checked[k] for k in checked}):
-        assert checks["calls"] and checks["fuses"]
-        assert checks["shared"] > 0  # some plan was held by several hypotheses
+    run_engine(lib, names)
+    assert checked["calls"] and checked["walks"] and checked["fuses"]
+    if run_engine is not run_phatt_steps:
+        # some walk was shared across compile levels, prefix groups or
+        # queries; each PHATT step's target is a new realized leaf
+        assert checked["shared"] > 0
 
 
 # Per PHATT step: the attempts counted and a digest of the ordered

@@ -1,3 +1,5 @@
+import importlib.util
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -72,3 +74,46 @@ def test_find_bench_instances_smoke(tmp_path):
     assert [line.split(":")[0] for line in lines[:3]] == \
         ["seed 2000", "seed 2001", "seed 2002"]
     assert lines[-1] == "selected: [2000, 2001, 2002]"
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name.removesuffix(".py"), SCRIPTS / name)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def perfbench_stdout(**metrics):
+    """A perfbench run's output: a readable summary, then one JSON line."""
+    result = {"correct": True, "attempted": 3, "failed": 0,
+              "metrics": {name: {"value": value, "unit": "s"}
+                          for name, value in metrics.items()}}
+    return f"workload w (seed 1, trace 0)\n  slim_td_s ...\n{json.dumps(result)}\n"
+
+
+def test_bench_pairs_summary():
+    pairs = load_script("bench_pairs.py")
+    parent_td = [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.00, 1.02, 0.98]
+    change_td = [0.80, 0.81, 0.79, 0.80, 0.82, 0.78, 0.80, 1.10, 0.81, 0.79]
+    parent_bu = [0.50, 0.51, 0.49, 0.52, 0.48, 0.50, 0.51, 0.49, 0.50, 0.50]
+    change_bu = [0.49, 0.52, 0.50, 0.51, 0.49, 0.51, 0.50, 0.50, 0.49, 0.51]
+    parent = [pairs.last_json(perfbench_stdout(slim_td_s=td, slim_bu_s=bu, hits=1.0))
+              for td, bu in zip(parent_td, parent_bu)]
+    change = [pairs.last_json(perfbench_stdout(slim_td_s=td, slim_bu_s=bu, hits=2.0))
+              for td, bu in zip(change_td, change_bu)]
+    rows = {r["metric"]: r for r in pairs.summarize(parent, change, {"hits": "higher"})}
+    assert list(rows) == ["slim_td_s", "slim_bu_s", "hits"]
+    td = rows["slim_td_s"]
+    assert td["parent"] == pytest.approx((0.9825, 1.0, 1.0175))
+    assert td["change"] == pytest.approx((0.7925, 0.80, 0.81))
+    assert td["ratio"] == pytest.approx(0.8)
+    assert (td["wins"], td["pairs"], td["claim"]) == (9, 10, True)  # one pair lost
+    bu = rows["slim_bu_s"]  # within noise: the gap is below the quartile distance
+    assert (bu["wins"], bu["claim"]) == (4, False)
+    assert (rows["hits"]["wins"], rows["hits"]["claim"]) == (10, True)
+    # nine pairs cannot carry a claim, however clear
+    assert not pairs.summarize(parent[:9], change[:9])[0]["claim"]
+    text = pairs.format_rows(list(rows.values()))
+    assert text.splitlines()[1].split()[-2:] == ["9/10", "yes"]
+    with pytest.raises(ValueError):
+        pairs.summarize(parent, change[:9])

@@ -1023,6 +1023,31 @@ def test_fresh_engine_compiles_another_engines_locals(lib, case):
         assert built == [("G(X(a@1 B?) Y?)", "1.0")]
 
 
+@pytest.mark.parametrize("params, seed", [(BENCH_A, 1000), (BENCH_B, 2071)],
+                         ids=["benchmark-a-1000", "benchmark-b-2071"])
+def test_online_queries_equal_fresh_engine_queries(params, seed):
+    # an engine's memos never change what a query returns or counts: after
+    # every observation, one engine's compile of its k=1000 best locals, its
+    # memos warm from every earlier query, equals a fresh engine's compile of
+    # the same locals, in order and in attempts
+    lib = generate_domain(params)
+    cfg = TopDownConfig.for_library(lib, k=1000)
+    engine = SlimEngine(lib, cfg)
+    queries = []
+
+    def query(ts, locals_):
+        before = engine.counter.n
+        online = ranked(engine.compile_top_down(locals_)[0])
+        fresh = SlimEngine(lib, cfg)
+        assert ranked(fresh.compile_top_down(locals_)[0]) == online
+        assert engine.counter.n - before == fresh.counter.n
+        queries.append(len(online))
+
+    names = simulate_agent(lib, seed)
+    drive_engine(engine, names, query)
+    assert len(queries) == len(names) and queries[-1]
+
+
 # ---------------------------------------------------------------------------
 # Completeness across the suite (the cross-engine equivalence law)
 # ---------------------------------------------------------------------------
