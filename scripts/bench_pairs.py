@@ -6,9 +6,11 @@ once in each checkout, the parent first on even pairs and the change first
 on odd ones, so drift in host load falls on both sides. Each run's last
 standard-output line is its JSON result. Per end-to-end metric the script
 prints each side's median and quartiles, the change/parent ratio of the
-medians, how many pairs the change won, and whether a gain claim holds: at
+medians, how many pairs the change won, whether a gain claim holds (at
 least 10 pairs, the change better in at least 9 of 10, and the gap between
-the medians larger than the parent's quartile distance.
+the medians larger than the parent's quartile distance), and whether the
+change regressed: its median worse than the parent's by more than the
+metric's ``bound`` in ``BENCHMARK.json``, a fraction of the parent's median.
 
 Usage:
     python scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --workload b4-online \
@@ -45,14 +47,18 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
 
 
 def summarize(parent: list[dict], change: list[dict],
-              better: dict[str, str] | None = None) -> list[dict]:
+              better: dict[str, str] | None = None,
+              bounds: dict[str, float] | None = None) -> list[dict]:
     """One row per metric present in every run of both sides, in the order
     of the first parent run. ``parent[i]`` and ``change[i]`` are the JSON
     results of pair i; ``better`` maps a metric to "lower" (the default) or
-    "higher"."""
+    "higher", and ``bounds`` to the share of the parent's median by which
+    the change's may be worse (a metric without one gets ``regressed``
+    None)."""
     if len(parent) != len(change) or not parent:
         raise ValueError("need the same, nonzero number of runs on each side")
     better = better or {}
+    bounds = bounds or {}
     names = [name for name in parent[0]["metrics"]
              if all(name in run["metrics"] for run in parent + change)]
     rows = []
@@ -63,6 +69,7 @@ def summarize(parent: list[dict], change: list[dict],
         wins = sum(sign * (n - o) < 0 for o, n in zip(old, new))
         old_q, new_q = quartiles(old), quartiles(new)
         gap = sign * (old_q[1] - new_q[1])  # > 0 when the change is better
+        bound = bounds.get(name)
         rows.append({
             "metric": name,
             "unit": parent[0]["metrics"][name].get("unit", ""),
@@ -73,19 +80,22 @@ def summarize(parent: list[dict], change: list[dict],
             "pairs": len(old),
             "claim": (len(old) >= MIN_PAIRS and wins >= MIN_WIN_FRAC * len(old)
                       and gap > old_q[2] - old_q[0]),
+            "regressed": None if bound is None else -gap > bound * abs(old_q[1]),
         })
     return rows
 
 
 def format_rows(rows: list[dict]) -> str:
     head = (f"{'metric':20s} {'parent q1/med/q3':>26s} {'change q1/med/q3':>26s} "
-            f"{'ratio':>7s} {'wins':>6s} claim")
+            f"{'ratio':>7s} {'wins':>6s} claim regressed")
     lines = [head]
     for r in rows:
         old = "/".join(f"{v:.4g}" for v in r["parent"])
         new = "/".join(f"{v:.4g}" for v in r["change"])
+        regressed = "-" if r["regressed"] is None else "yes" if r["regressed"] else "no"
         lines.append(f"{r['metric']:20s} {old:>26s} {new:>26s} {r['ratio']:7.3f} "
-                     f"{r['wins']:>3d}/{r['pairs']:<2d} {'yes' if r['claim'] else 'no'}")
+                     f"{r['wins']:>3d}/{r['pairs']:<2d} {'yes' if r['claim'] else 'no':5s} "
+                     f"{regressed}")
     return "\n".join(lines)
 
 
@@ -99,12 +109,15 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     return last_json(proc.stdout)
 
 
-def _better(checkout: Path) -> dict[str, str]:
+def _design(checkout: Path) -> tuple[dict[str, str], dict[str, float]]:
+    """``better`` and ``bound`` of each end-to-end metric of the checkout's
+    ``BENCHMARK.json``; empty when it has none."""
     path = checkout / "BENCHMARK.json"
     if not path.is_file():
-        return {}
-    design = json.loads(path.read_text(encoding="utf-8"))
-    return {m["name"]: m.get("better", "lower") for m in design.get("end_to_end", ())}
+        return {}, {}
+    metrics = json.loads(path.read_text(encoding="utf-8")).get("end_to_end", ())
+    return ({m["name"]: m.get("better", "lower") for m in metrics},
+            {m["name"]: m["bound"] for m in metrics if "bound" in m})
 
 
 def main() -> int:
@@ -134,7 +147,7 @@ def main() -> int:
                   f"{result.get('failed', '?')} failed", flush=True)
     print(f"workload {args.workload}, {args.pairs} pairs, seeds "
           f"{args.seed_base}..{args.seed_base + args.pairs - 1}")
-    print(format_rows(summarize(parent, change, _better(args.change))))
+    print(format_rows(summarize(parent, change, *_design(args.change))))
     return 0 if all(run.get("correct") for run in parent + change) else 1
 
 

@@ -44,6 +44,7 @@ from .trees import (
     NodeTable,
     PlanNode,
     open_node,
+    ranked,
     realized_leaf,
     try_expand,
     try_fuse,
@@ -191,11 +192,13 @@ def combine_independently(h: Hypothesis, f: PlanNode,
 
 
 def k_best(hyps: Iterable[Hypothesis], k: int | None) -> list[Hypothesis]:
-    """Top ``k`` by weight, descending; ties broken by canonical form.
+    """Top ``k`` by weight, descending; ties broken by canonical form, in
+    :func:`~planrec.trees.ranked` order (exact for hypotheses over one
+    observation sequence), so no hypothesis's ``canon`` is built.
     ``k=None`` keeps all of them unranked, in the order given."""
     if k is None:
         return list(hyps)
-    return sorted(hyps, key=lambda h: (-h.weight, h.canon))[:k]
+    return ranked(hyps, k)
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +307,10 @@ class SlimEngine:
         life. The output equals compiling each local alone and keeping one
         copy of each hypothesis, ranked by weight and then canonical form (a
         total order on distinct hypotheses), so the order of the locals does
-        not matter.
+        not matter. Both the selection of the k best locals (:func:`k_best`)
+        and that final ranking go through :func:`~planrec.trees.ranked`,
+        exact here since the output, like the locals, explains one
+        observation sequence; neither builds a hypothesis's ``canon``.
 
         A selected local L is skipped when some plan of L has height above 1
         and L's split is selected too. The split is L's fragments, its
@@ -386,7 +392,7 @@ class SlimEngine:
                     compile_group(group, depth + 1, sub, checked or joined)
 
         compile_group(selected, 0, {EMPTY_HYPOTHESIS.plans: EMPTY_HYPOTHESIS}, False)
-        merged = sorted(out.values(), key=lambda h: (-h.weight, h.canon))
+        merged = ranked(out.values())
         elapsed = (time.perf_counter_ns() - t0) // 1000
         return merged, elapsed
 

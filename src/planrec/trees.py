@@ -12,8 +12,10 @@ recognizer needs on every validity check (timestamp range, rule-probability
 product, open-frontier count) are computed once per node, when its table first
 builds it; a node is complete exactly when its open-frontier count is 0.
 
-Serialization grammar, used for output and as the canonical ordering key; a
-node's serialization is built on first read::
+Serialization grammar, used for output and as the tie-break of every
+ranking: :func:`ranked` sorts the distinct plans by it once and compares
+hypotheses by their plans' ranks, never by joined strings. A node's
+serialization is built on first read::
 
     node := name '?' | name '@' int | name '(' node (' ' node)* ')'
 
@@ -25,6 +27,12 @@ distinct structures never share a canonical form.
 """
 
 from __future__ import annotations
+
+import heapq
+import sys
+from itertools import chain
+from operator import attrgetter
+from typing import Iterable
 
 from .grammar import PlanLibrary, Rule
 
@@ -256,10 +264,11 @@ class Hypothesis:
     through that tuple, the deduplication key, whose nodes compare by
     identity: two hypotheses built from one :class:`NodeTable` are equal
     exactly when their plans are structurally equal. ``canon``, the ``;``-joined
-    plan serializations used for output and ordering, is built on first
-    read. ``weight`` is the product of all rule probabilities over all
-    plans; a goal-rooted hypothesis's also carries the goal prior once per
-    plan, and a local's carries none.
+    plan serializations, is built on first read, for output only: rankings
+    order by it through plan ranks (:func:`ranked`). ``weight`` is the
+    product of all rule probabilities over all plans; a goal-rooted
+    hypothesis's also carries the goal prior once per plan, and a local's
+    carries none.
     """
 
     __slots__ = ("plans", "weight", "_canon")
@@ -307,6 +316,94 @@ class Hypothesis:
 
 
 EMPTY_HYPOTHESIS = Hypothesis((), 1.0)
+
+_PLANS = attrgetter("plans")
+_CANON = attrgetter("canon")
+_CODE_POINTS = sys.maxunicode + 1
+
+
+def ranked(hyps: Iterable[Hypothesis], k: int | None = None) -> list[Hypothesis]:
+    """``hyps`` by weight descending, then by ``canon`` ascending, the first
+    ``k`` of them (all for None); equal keys keep the order given. No
+    hypothesis's ``canon`` is built.
+
+    The distinct plans are sorted once by their own ``canon``, and a
+    hypothesis's tie-break is the sequence of its plans' ranks. That is the
+    order of the ``;``-joined ``canon`` unless, at the first index where two
+    hypotheses' plans differ, one plan's serialization is a proper prefix of
+    the other's, which only realized leaves allow (``a@1``, ``a@12``). It
+    cannot happen among hypotheses over one observation sequence, which every
+    engine and runner call ranks: each hypothesis's plans partition the
+    observations in ascending smallest timestamp, so two hypotheses equal in
+    plans ``0..i-1`` have plans ``i`` holding the same smallest timestamp.
+
+    A rank is one code point of a string key, the cheapest key to build and
+    compare (tuple keys of ints took 5 to 25% longer to rank compile outputs);
+    past 1,114,112 distinct serializations, more than there are code points,
+    it is an int of a tuple key. For a finite ``k``, only the part of
+    ``hyps`` that :func:`_narrowed` keeps gets keys: about ``k`` of them.
+    """
+    hyps = list(hyps)
+    if k is not None and len(hyps) > k:
+        hyps = _narrowed(hyps, k)
+    plans = set(chain.from_iterable(map(_PLANS, hyps)))
+    order = {canon: i for i, canon in enumerate(sorted(set(map(_CANON, plans))))}
+    if len(order) > _CODE_POINTS:
+        rank = {plan: order[plan.canon] for plan in plans}
+        join = tuple
+    else:
+        rank = {plan: chr(order[plan.canon]) for plan in plans}
+        join = "".join
+    get = rank.__getitem__
+
+    def key(h: Hypothesis):
+        return -h.weight, join(map(get, h.plans))
+
+    if k is None:
+        hyps.sort(key=key)
+        return hyps
+    return heapq.nsmallest(k, hyps, key=key)
+
+
+def _narrowed(hyps: list[Hypothesis], k: int) -> list[Hypothesis]:
+    """A part of ``hyps`` holding its first ``k`` in :func:`ranked` order,
+    so that only that part needs sort keys.
+
+    The hypotheses are grouped by weight, then by their plan at index 0, 1,
+    and so on. Groups are kept whole, in ranked order, while they fit in
+    ``k``; the group that does not fit is split at the next level, and the
+    groups after it are dropped. Splitting stops at a group of equal plan
+    tuples, or where two plans at the next index share a serialization
+    (plans of two tables), so hypotheses with equal sort keys always share a
+    group and keep the order given.
+    """
+    keep: list[Hypothesis] = []
+    depth = -1  # the weight level
+    while len(hyps) > k > 0:
+        groups: dict = {}
+        if depth < 0:
+            for h in hyps:
+                groups.setdefault(-h.weight, []).append(h)
+            order = sorted(groups)
+        else:
+            for h in hyps:
+                plans = h.plans
+                groups.setdefault(plans[depth] if len(plans) > depth else None, []).append(h)
+            order = sorted((plan for plan in groups if plan is not None), key=_CANON)
+            if len(set(map(_CANON, order))) < len(order):
+                break
+            if None in groups:  # the plans every member shares, alone: first
+                order.insert(0, None)
+        for group_key in order:
+            hyps = groups[group_key]
+            if len(hyps) > k:
+                break
+            keep += hyps
+            k -= len(hyps)
+        if group_key is None:
+            break
+        depth += 1
+    return keep + hyps if k else keep
 
 
 # ---------------------------------------------------------------------------

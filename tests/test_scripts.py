@@ -91,18 +91,37 @@ def perfbench_stdout(**metrics):
     return f"workload w (seed 1, trace 0)\n  slim_td_s ...\n{json.dumps(result)}\n"
 
 
-def test_bench_pairs_summary():
+def test_bench_pairs_summary(tmp_path):
     pairs = load_script("bench_pairs.py")
     parent_td = [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.00, 1.02, 0.98]
     change_td = [0.80, 0.81, 0.79, 0.80, 0.82, 0.78, 0.80, 1.10, 0.81, 0.79]
     parent_bu = [0.50, 0.51, 0.49, 0.52, 0.48, 0.50, 0.51, 0.49, 0.50, 0.50]
     change_bu = [0.49, 0.52, 0.50, 0.51, 0.49, 0.51, 0.50, 0.50, 0.49, 0.51]
-    parent = [pairs.last_json(perfbench_stdout(slim_td_s=td, slim_bu_s=bu, hits=1.0))
-              for td, bu in zip(parent_td, parent_bu)]
-    change = [pairs.last_json(perfbench_stdout(slim_td_s=td, slim_bu_s=bu, hits=2.0))
-              for td, bu in zip(change_td, change_bu)]
-    rows = {r["metric"]: r for r in pairs.summarize(parent, change, {"hits": "higher"})}
-    assert list(rows) == ["slim_td_s", "slim_bu_s", "hits"]
+    parent_rss = [100, 101, 99, 100, 102, 98, 100, 101, 99, 100]
+    change_rss = [130, 128, 131, 126, 130, 129, 132, 130, 127, 130]
+    parent = [pairs.last_json(perfbench_stdout(slim_td_s=td, slim_bu_s=bu, hits=1.0, rss=rss))
+              for td, bu, rss in zip(parent_td, parent_bu, parent_rss)]
+    change = [pairs.last_json(perfbench_stdout(slim_td_s=td, slim_bu_s=bu, hits=2.0, rss=rss))
+              for td, bu, rss in zip(change_td, change_bu, change_rss)]
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
+        {"name": "slim_td_s", "better": "lower", "bound": 0.25},
+        {"name": "slim_bu_s", "better": "lower", "bound": 0.25},
+        {"name": "hits", "better": "higher"},
+        {"name": "rss", "better": "lower", "bound": 0.25},
+    ]}))
+    better, bounds = pairs._design(tmp_path)
+    assert better == {"slim_td_s": "lower", "slim_bu_s": "lower", "hits": "higher",
+                      "rss": "lower"}
+    assert bounds == {"slim_td_s": 0.25, "slim_bu_s": 0.25, "rss": 0.25}
+    assert pairs._design(tmp_path / "none") == ({}, {})
+    rows = {r["metric"]: r for r in pairs.summarize(parent, change, better, bounds)}
+    assert list(rows) == ["slim_td_s", "slim_bu_s", "hits", "rss"]
+    # regressed: the change's median worse than the parent's by more than
+    # its bound, a share of the parent's median; None without a bound
+    assert {name: r["regressed"] for name, r in rows.items()} == \
+        {"slim_td_s": False, "slim_bu_s": False, "hits": None, "rss": True}
+    rss = rows["rss"]  # median 100 to 130: 30% worse, beyond a 25% bound
+    assert (rss["ratio"], rss["wins"], rss["claim"]) == (pytest.approx(1.3), 0, False)
     td = rows["slim_td_s"]
     assert td["parent"] == pytest.approx((0.9825, 1.0, 1.0175))
     assert td["change"] == pytest.approx((0.7925, 0.80, 0.81))
@@ -114,6 +133,9 @@ def test_bench_pairs_summary():
     # nine pairs cannot carry a claim, however clear
     assert not pairs.summarize(parent[:9], change[:9])[0]["claim"]
     text = pairs.format_rows(list(rows.values()))
-    assert text.splitlines()[1].split()[-2:] == ["9/10", "yes"]
+    lines = text.splitlines()
+    assert lines[0].split()[-2:] == ["claim", "regressed"]
+    assert [line.split()[-3:] for line in lines[1:]] == \
+        [["9/10", "yes", "no"], ["4/10", "no", "no"], ["10/10", "yes", "-"], ["0/10", "no", "yes"]]
     with pytest.raises(ValueError):
         pairs.summarize(parent, change[:9])

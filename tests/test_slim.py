@@ -3,6 +3,7 @@ import hashlib
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from planrec import trees
 from planrec.domains import DomainParams, generate_domain, simulate_agent
 from planrec.grammar import parse_library
 from planrec.metrics import CombinationCounter, drive
@@ -355,6 +356,47 @@ def test_fragment_timestamp_law(lib, nodes):
 # ---------------------------------------------------------------------------
 
 
+def by_joined_canon(hyps):
+    """The reference order: weight descending, then the ``;``-joined canon."""
+    return sorted(hyps, key=lambda h: (-h.weight, h.canon))
+
+
+# equal-weight hypotheses over prefixes of one sequence (a@1 c@2) whose plan
+# serializations share long prefixes, within a plan and across plans
+EQUAL_WEIGHT_PREFIXES = [
+    "X(A(a@1) B? C?);X(A? B? C(c@2))",
+    "X(A(a@1) B? C(c@2))",
+    "X(A(a@1) B? C?);C(c@2)",
+    "X(A(a@1) B? C?)",
+    "A(a@1);X(A? B? C(c@2))",
+    "A(a@1);C(c@2)",
+    "A(a@1);C(c@2);B?",
+    "A(a@1);C?",
+    "A(a@1)",
+]
+
+
+def assert_ranks_like_joined_canon(nodes):
+    """``ranked`` and ``k_best`` at every k order the equal-weight hand
+    cases as their joined serializations do, equal keys in the order given."""
+    shared = [parse_hypothesis(nodes, text) for text in EQUAL_WEIGHT_PREFIXES]
+    assert len({h.weight for h in shared}) == 1
+    # equal serializations from two tables, and a hypothesis given twice,
+    # rank as equal
+    table = NodeTable(nodes.lib)
+    other, short = (parse_hypothesis(table, text) for text in ("A(a@1);C(c@2)", "A(a@1)"))
+    split, joined_ = shared[5], shared[1]  # A(a@1);C(c@2) and X(A(a@1) B? C(c@2))
+    for given in (shared, shared[::-1], shared[1::2] + shared[::2],
+                  [split, other, joined_], [other, joined_, split],
+                  [joined_, other, shared[0], split], [shared[6], joined_, split, shared[6], split],
+                  [split, other, split], [split, short, joined_]):
+        expected = by_joined_canon(given)
+        assert [id(h) for h in trees.ranked(given)] == [id(h) for h in expected]
+        for k in [*range(len(given) + 1), 100]:
+            assert [id(h) for h in trees.ranked(given, k)] == [id(h) for h in expected[:k]]
+            assert k_best(given, k) == expected[:k]
+
+
 def test_k_best_ordering_and_ties(nodes):
     hs = [
         parse_hypothesis(nodes, "A(a@1);C(c@2)"),
@@ -366,6 +408,66 @@ def test_k_best_ordering_and_ties(nodes):
     assert len(k_best(hs, 10)) == 2
     # k=None ranks nothing: every hypothesis, in the order given
     assert k_best(hs, None) == hs and k_best(hs[::-1], None) == hs[::-1]
+    assert_ranks_like_joined_canon(nodes)
+
+
+def test_ranked_tuple_keys_past_the_code_point_cap(nodes, monkeypatch):
+    # with more distinct plans than code points, ranks are ints of tuple keys
+    monkeypatch.setattr(trees, "_CODE_POINTS", 1)
+    assert_ranks_like_joined_canon(nodes)
+
+
+@pytest.mark.parametrize("case", ["running-example", "benchmark-a-1000", "benchmark-b-2071"])
+def test_ranked_orders_like_the_joined_canon(lib, case):
+    # every step's locals and every compile's output, ranked through plan
+    # ranks, in the order of the joined serializations
+    if case == "running-example":
+        names = ["a", "c", "b"]
+    else:
+        params, seed = (BENCH_A, 1000) if case == "benchmark-a-1000" else (BENCH_B, 2071)
+        lib = generate_domain(params)
+        names = simulate_agent(lib, seed)
+    engine = SlimEngine(lib, cfg_all(lib))
+    outputs = []
+
+    def check(ts, locals_):
+        expected = by_joined_canon(locals_)
+        assert trees.ranked(locals_) == expected
+        for k in (1, 100):
+            assert k_best(locals_, k) == expected[:k]
+        assert k_best(locals_, None) == list(locals_)
+        outputs.append(engine.compile_top_down(k_best(locals_, 1000))[0])
+
+    locals_, _ = drive_engine(engine, names, check)
+    outputs.append(engine.compile_top_down(locals_)[0])
+    assert len(outputs) == len(names) + 1 and outputs[-1]
+    for out in outputs:
+        assert out == by_joined_canon(out)
+        assert trees.ranked(out[::-1]) == out
+
+
+def test_k_best_and_compile_build_no_hypothesis_canon(monkeypatch):
+    # ranking reads the plans' serializations only: on benchmark B 2071,
+    # selecting the 100 best locals and compiling them, or all of them, joins
+    # no hypothesis's plans into a canon
+    lib = generate_domain(BENCH_B)
+    engine = SlimEngine(lib, cfg_all(lib))
+    locals_, _ = drive_engine(engine, simulate_agent(lib, 2071))
+    built = []
+    canon = Hypothesis.canon
+
+    def counted(h):
+        if h._canon is None:
+            built.append(h)
+        return canon.fget(h)
+
+    monkeypatch.setattr(Hypothesis, "canon", property(counted))
+    best = k_best(locals_, 100)
+    assert len(best) == 100
+    assert len(engine.compile_top_down(best)[0]) == 94
+    assert len(engine.compile_top_down(locals_)[0]) == 9660
+    assert built == []
+    assert k_best(locals_, 1)[0].canon and len(built) == 1  # the probe counts
 
 
 def test_k_best_by_weight():
@@ -378,6 +480,11 @@ def test_k_best_by_weight():
     light = Hypothesis.build((parse_plan(nodes, "X(B(b@1))"),))
     heavy = Hypothesis.build((parse_plan(nodes, "X(A(a@1))"),))
     assert [h.canon for h in k_best([light, heavy], 2)] == [heavy.canon, light.canon]
+    given = [light, parse_hypothesis(nodes, "B(b@1)"), heavy, parse_hypothesis(nodes, "A(a@1)")]
+    expected = by_joined_canon(given)
+    assert [h.weight for h in expected] == [1.0, 1.0, 0.6, 0.4]
+    for k in range(len(given) + 1):
+        assert k_best(given, k) == expected[:k]
 
 
 # ---------------------------------------------------------------------------
