@@ -21,7 +21,7 @@ from .grammar import ObservationError, PlanLibrary, parse_library
 from .metrics import RunRecord, drive
 from .phatt import HypothesisSet, PhattConfig, PhattEngine, RecognitionFailure
 from .slim import SlimEngine, TopDownConfig, k_best
-from .trees import Hypothesis, ranked
+from .trees import Hypothesis, rank_key
 
 EXIT_OK = 0
 EXIT_PARSE = 3
@@ -145,9 +145,10 @@ def _run(lib: PlanLibrary, obs: list[str] | None, algorithm: str, k_values: list
 
 def emit_hypotheses(hyps: Iterable[Hypothesis], path: str | Path):
     """One hypothesis per line: ``weight<TAB>plan{;plan}``, ordered by weight
-    descending then canonical form ascending (:func:`~planrec.trees.ranked`,
-    exact for hypotheses over one observation sequence). Byte-deterministic."""
-    lines = [f"{h.weight!r}\t{h.canon}" for h in ranked(hyps)]
+    descending then canonical form ascending (:func:`~planrec.trees.rank_key`:
+    the lines need every ``canon``, so sorting by the built strings is
+    cheaper than :func:`~planrec.trees.ranked`). Byte-deterministic."""
+    lines = [f"{h.weight!r}\t{h.canon}" for h in sorted(hyps, key=rank_key)]
     Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
 
 

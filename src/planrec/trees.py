@@ -13,9 +13,9 @@ product, open-frontier count) are computed once per node, when its table first
 builds it; a node is complete exactly when its open-frontier count is 0.
 
 Serialization grammar, used for output and as the tie-break of every
-ranking: :func:`ranked` sorts the distinct plans by it once and compares
-hypotheses by their plans' ranks, never by joined strings. A node's
-serialization is built on first read::
+ranking (:func:`rank_key`): :func:`ranked` sorts the distinct plans by it once
+and compares hypotheses by their plans' ranks, never by joined strings. A
+node's serialization is built on first read::
 
     node := name '?' | name '@' int | name '(' node (' ' node)* ')'
 
@@ -29,7 +29,6 @@ distinct structures never share a canonical form.
 from __future__ import annotations
 
 import heapq
-import sys
 from itertools import chain
 from operator import attrgetter
 from typing import Iterable
@@ -264,8 +263,9 @@ class Hypothesis:
     through that tuple, the deduplication key, whose nodes compare by
     identity: two hypotheses built from one :class:`NodeTable` are equal
     exactly when their plans are structurally equal. ``canon``, the ``;``-joined
-    plan serializations, is built on first read, for output only: rankings
-    order by it through plan ranks (:func:`ranked`). ``weight`` is the
+    plan serializations, is built on first read, for output: written
+    hypotheses are sorted by it (:func:`rank_key`), while the engines'
+    rankings order by it through plan ranks (:func:`ranked`). ``weight`` is the
     product of all rule probabilities over all plans; a goal-rooted
     hypothesis's also carries the goal prior once per plan, and a local's
     carries none.
@@ -319,13 +319,20 @@ EMPTY_HYPOTHESIS = Hypothesis((), 1.0)
 
 _PLANS = attrgetter("plans")
 _CANON = attrgetter("canon")
-_CODE_POINTS = sys.maxunicode + 1
+
+
+def rank_key(h: Hypothesis) -> tuple[float, str]:
+    """The order of every ranking: weight descending, then ``canon``
+    ascending. It builds ``canon``, so only code that builds every ``canon``
+    anyway (writing hypotheses out) sorts by it; :func:`ranked` gives the
+    same order without."""
+    return -h.weight, h.canon
 
 
 def ranked(hyps: Iterable[Hypothesis], k: int | None = None) -> list[Hypothesis]:
-    """``hyps`` by weight descending, then by ``canon`` ascending, the first
-    ``k`` of them (all for None); equal keys keep the order given. No
-    hypothesis's ``canon`` is built.
+    """``hyps`` in :func:`rank_key` order, the first ``k`` of them (all for
+    None); equal keys keep the order given. No hypothesis's ``canon`` is
+    built.
 
     The distinct plans are sorted once by their own ``canon``, and a
     hypothesis's tie-break is the sequence of its plans' ranks. That is the
@@ -337,27 +344,19 @@ def ranked(hyps: Iterable[Hypothesis], k: int | None = None) -> list[Hypothesis]
     observations in ascending smallest timestamp, so two hypotheses equal in
     plans ``0..i-1`` have plans ``i`` holding the same smallest timestamp.
 
-    A rank is one code point of a string key, the cheapest key to build and
-    compare (tuple keys of ints took 5 to 25% longer to rank compile outputs);
-    past 1,114,112 distinct serializations, more than there are code points,
-    it is an int of a tuple key. For a finite ``k``, only the part of
-    ``hyps`` that :func:`_narrowed` keeps gets keys: about ``k`` of them.
+    The tie-break is a tuple of int ranks, which puts no cap on the number
+    of distinct plans. For a finite ``k``, only the part of ``hyps`` that
+    :func:`_narrowed` keeps gets keys: about ``k`` of them.
     """
     hyps = list(hyps)
     if k is not None and len(hyps) > k:
         hyps = _narrowed(hyps, k)
     plans = set(chain.from_iterable(map(_PLANS, hyps)))
     order = {canon: i for i, canon in enumerate(sorted(set(map(_CANON, plans))))}
-    if len(order) > _CODE_POINTS:
-        rank = {plan: order[plan.canon] for plan in plans}
-        join = tuple
-    else:
-        rank = {plan: chr(order[plan.canon]) for plan in plans}
-        join = "".join
-    get = rank.__getitem__
+    get = {plan: order[plan.canon] for plan in plans}.__getitem__
 
     def key(h: Hypothesis):
-        return -h.weight, join(map(get, h.plans))
+        return -h.weight, tuple(map(get, h.plans))
 
     if k is None:
         hyps.sort(key=key)

@@ -411,12 +411,6 @@ def test_k_best_ordering_and_ties(nodes):
     assert_ranks_like_joined_canon(nodes)
 
 
-def test_ranked_tuple_keys_past_the_code_point_cap(nodes, monkeypatch):
-    # with more distinct plans than code points, ranks are ints of tuple keys
-    monkeypatch.setattr(trees, "_CODE_POINTS", 1)
-    assert_ranks_like_joined_canon(nodes)
-
-
 @pytest.mark.parametrize("case", ["running-example", "benchmark-a-1000", "benchmark-b-2071"])
 def test_ranked_orders_like_the_joined_canon(lib, case):
     # every step's locals and every compile's output, ranked through plan
