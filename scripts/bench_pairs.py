@@ -12,15 +12,24 @@ the medians larger than the parent's quartile distance), and whether the
 change regressed: its median worse than the parent's by more than the
 metric's ``bound`` in ``BENCHMARK.json``, a fraction of the parent's median.
 
+With ``--labels PARENT_LABEL CHANGE_LABEL`` it also records each side in
+the repository's ``bench/BENCH_<label>.json``, one entry per workload, so
+runs of several workloads fill one file per side. An entry holds the
+checkout's commit (None outside git, ``+dirty`` when tracked files differ
+from it), the Python version, the seeds, whether every run was correct, the
+median host-probe kernel time, and each metric's quartiles.
+
 Usage:
     python scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --workload b4-online \
-        --pairs 10 --seconds 40 --seed-base 71
+        --pairs 10 --seconds 40 --seed-base 71 [--labels 62acd95 a1b2c3d]
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import platform
+import re
 import statistics
 import subprocess
 import sys
@@ -28,6 +37,7 @@ from pathlib import Path
 
 MIN_PAIRS = 10
 MIN_WIN_FRAC = 0.9
+BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"
 
 
 def last_json(stdout: str) -> dict:
@@ -99,6 +109,18 @@ def format_rows(rows: list[dict]) -> str:
     return "\n".join(lines)
 
 
+_KERNEL = re.compile(r"median kernel ([0-9.]+) ms")
+
+
+def parse_run(stdout: str) -> dict:
+    """A perfbench run's JSON result, with ``kernel_ms``, the host probe's
+    median kernel time from its notes (None when it printed none), added."""
+    result = last_json(stdout)
+    match = _KERNEL.search(stdout)
+    result["kernel_ms"] = float(match.group(1)) if match else None
+    return result
+
+
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
@@ -106,7 +128,52 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
         cwd=checkout, capture_output=True, text=True)
     if proc.returncode not in (0, 1):  # 1: an output check failed; still a result
         raise RuntimeError(f"{checkout}: perfbench exited {proc.returncode}\n{proc.stderr}")
-    return last_json(proc.stdout)
+    return parse_run(proc.stdout)
+
+
+def commit_of(checkout: Path) -> str | None:
+    """The commit checked out at ``checkout``, with ``+dirty`` when tracked
+    files differ from it; None unless ``checkout`` is a git work tree's top."""
+    git = ["git", "-C", str(checkout)]
+    top = subprocess.run(git + ["rev-parse", "--show-toplevel", "HEAD"],
+                         capture_output=True, text=True)
+    lines = top.stdout.split()
+    if top.returncode or Path(lines[0]).resolve() != checkout.resolve():
+        return None
+    dirty = subprocess.run(git + ["status", "--porcelain", "--untracked-files=no"],
+                           capture_output=True, text=True).stdout.strip()
+    return lines[1] + ("+dirty" if dirty else "")
+
+
+def bench_entry(runs: list[dict], seeds: list[int], commit: str | None) -> dict:
+    """One workload's entry of a ``BENCH_<label>.json``: ``runs`` are one
+    side's :func:`parse_run` results, over ``seeds``."""
+    names = [name for name in runs[0]["metrics"]
+             if all(name in run["metrics"] for run in runs)]
+    metrics = {}
+    for name in names:
+        q1, median, q3 = quartiles([run["metrics"][name]["value"] for run in runs])
+        metrics[name] = {"unit": runs[0]["metrics"][name].get("unit", ""),
+                         "q1": q1, "median": median, "q3": q3}
+    kernels = [run["kernel_ms"] for run in runs if run.get("kernel_ms") is not None]
+    return {"commit": commit, "python": platform.python_version(), "seeds": seeds,
+            "runs": len(runs), "correct": all(run.get("correct") for run in runs),
+            "kernel_ms": round(statistics.median(kernels), 4) if kernels else None,
+            "metrics": metrics}
+
+
+def write_bench(directory: Path, label: str, workload: str, entry: dict) -> Path:
+    """Put ``entry`` in ``directory/BENCH_<label>.json`` as ``workload``'s,
+    keeping the other workloads' entries the file holds."""
+    path = directory / f"BENCH_{label}.json"
+    record = {"label": label, "workloads": {}}
+    if path.is_file():
+        record = json.loads(path.read_text(encoding="utf-8"))
+    record["workloads"][workload] = entry
+    record["workloads"] = dict(sorted(record["workloads"].items()))
+    directory.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
+    return path
 
 
 def _design(checkout: Path) -> tuple[dict[str, str], dict[str, float]]:
@@ -128,6 +195,8 @@ def main() -> int:
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seconds", type=float, default=40.0)
     ap.add_argument("--seed-base", type=int, default=1)
+    ap.add_argument("--labels", nargs=2, metavar=("PARENT_LABEL", "CHANGE_LABEL"),
+                    help="write bench/BENCH_<label>.json for each side")
     args = ap.parse_args()
     if args.pairs < 1:
         ap.error("--pairs must be >= 1")
@@ -148,6 +217,13 @@ def main() -> int:
     print(f"workload {args.workload}, {args.pairs} pairs, seeds "
           f"{args.seed_base}..{args.seed_base + args.pairs - 1}")
     print(format_rows(summarize(parent, change, *_design(args.change))))
+    if args.labels:
+        seeds = list(range(args.seed_base, args.seed_base + args.pairs))
+        for label, checkout, runs in zip(args.labels, (args.parent, args.change),
+                                         (parent, change)):
+            path = write_bench(BENCH_DIR, label, args.workload,
+                               bench_entry(runs, seeds, commit_of(checkout)))
+            print(f"wrote {path}")
     return 0 if all(run.get("correct") for run in parent + change) else 1
 
 

@@ -11,11 +11,24 @@ direct realization of open terminal leaves and direct grafting.
 target node into every hypothesis. PHATT's own step passes the observation's
 realized leaf as the target; SLIM's top-down compiler replays the plans of a
 local hypothesis through the same method.
+
+Collector policy: :meth:`PhattEngine.advance`, and with it every PHATT step
+and every level of SLIM's top-down compile, runs with the cyclic garbage
+collector paused (:func:`collector_paused`), and so do
+:meth:`~planrec.slim.SlimEngine.step` and
+:meth:`~planrec.slim.SlimEngine.compile_top_down`. The objects a call builds
+(hypotheses, plan tuples, nodes, memo entries) form no reference cycles, so
+the collections the allocations would trigger only rescan a growing heap and
+free nothing; reference counting frees what a call drops. Each call restores
+the caller's ``gc.isenabled()`` when it returns or raises, and a nested call
+leaves the state to the outermost one.
 """
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass
+from functools import wraps
 from typing import Iterable
 
 from .grammar import PROB_TOL, ObservationError, PlanLibrary
@@ -41,6 +54,25 @@ class RecognitionFailure(RuntimeError):
         super().__init__(f"observation {obs!r} at step {step} cannot be explained")
         self.step = step
         self.obs = obs
+
+
+def collector_paused(method):
+    """Decorate ``method`` to run with the cyclic garbage collector paused,
+    restoring the state the call found, also when it raises. A call nested
+    in another finds the collector paused and leaves it so, at the cost of
+    one check."""
+
+    @wraps(method)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return method(*args, **kwargs)
+        gc.disable()
+        try:
+            return method(*args, **kwargs)
+        finally:
+            gc.enable()
+
+    return paused
 
 
 def default_max_depth(lib: PlanLibrary) -> int:
@@ -180,6 +212,7 @@ class PhattEngine:
             self._graft_memo[key] = plans
         return plans
 
+    @collector_paused
     def advance(self, hyps: Iterable[Hypothesis], target: PlanNode
                 ) -> dict[tuple[PlanNode, ...], Hypothesis]:
         """One modified-PHATT step: weave ``target`` into every hypothesis,
@@ -204,7 +237,8 @@ class PhattEngine:
         appends are equal only when they share the input hypothesis and the
         goal tree, and the input holds no duplicate. Grafts can collide, so
         they go through :func:`_merge`. Every plan built here is goal-rooted
-        and carries the uniform goal prior, ``1 / len(lib.goals)``, once."""
+        and carries the uniform goal prior, ``1 / len(lib.goals)``, once.
+        The cyclic collector is paused during the call (:func:`collector_paused`)."""
         nodes = self.nodes
         prior = 1.0 / len(self.lib.goals)
         counter = self.counter

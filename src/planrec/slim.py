@@ -25,6 +25,10 @@ nothing its split does not: the split keeps only the local's fragments, each
 as a standalone plan. When the library makes that provable (see
 :meth:`SlimEngine.compile_top_down`), the compiler skips every joined local
 whose split it compiles too.
+
+:meth:`SlimEngine.step` and :meth:`SlimEngine.compile_top_down` run with the
+cyclic garbage collector paused, as :meth:`PhattEngine.advance` does; the
+policy and its reasons are in :mod:`planrec.phatt`.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from typing import Iterable
 
 from .grammar import ObservationError, PlanLibrary, Rule
 from .metrics import CombinationCounter
-from .phatt import PhattConfig, PhattEngine, RecognitionFailure, _merge
+from .phatt import PhattConfig, PhattEngine, RecognitionFailure, _merge, collector_paused
 from .trees import (
     EMPTY_HYPOTHESIS,
     Hypothesis,
@@ -178,15 +182,18 @@ def combine_as_sibling(nodes: NodeTable, plan: PlanNode, f: PlanNode, slots: dic
 
 def combine_independently(h: Hypothesis, f: PlanNode,
                           counter: CombinationCounter) -> Hypothesis:
-    """Append the fragment to the hypothesis as a standalone plan.
+    """Append the fragment to the hypothesis as a standalone plan, counting
+    one attempt.
 
-    :meth:`SlimEngine.step` stores the result without a dedup check, since
-    it can equal no other candidate of its step. The fragment holds the
-    newest observation and nothing else, while the other three combinations
-    put that observation into a plan that also holds older ones (every plan
-    the engines build holds an observation). Two appends are equal only when
-    they share the input hypothesis and the fragment, and a step's input
-    holds no duplicate."""
+    :meth:`SlimEngine.step` builds its appends the same way, through
+    :meth:`~planrec.trees.Hypothesis.with_plan`, but inline, and adds their
+    attempts to the counter in one sum. It stores them without a dedup
+    check, since an append can equal no other candidate of its step. The
+    fragment holds the newest observation and nothing else, while the other
+    three combinations put that observation into a plan that also holds
+    older ones (every plan the engines build holds an observation). Two
+    appends are equal only when they share the input hypothesis and the
+    fragment, and a step's input holds no duplicate."""
     counter.n += 1
     return h.with_plan(f)
 
@@ -221,6 +228,7 @@ class SlimEngine:
         self._phatt = PhattEngine(lib, self.cfg, self.counter)
         self.nodes = self._phatt.nodes
 
+    @collector_paused
     def step(self, hyps: tuple[Hypothesis, ...], obs: int, ts: int) -> tuple[Hypothesis, ...]:
         """Combine observation ``obs`` (step ``ts``) with every local hypothesis
         through all four functions, keeping one hypothesis per plan tuple.
@@ -228,18 +236,20 @@ class SlimEngine:
         The direct, child and sibling combinations of a plan do not depend on
         the hypothesis holding it, so each distinct plan of ``hyps`` is
         combined once, with its enabled frontier read once, and every
-        hypothesis holding it replays the resulting plans and adds their
-        attempts to the counter. ``hyps`` must come from this engine's
-        ``nodes`` (its own earlier steps, or parsed into ``nodes``), so the
-        memo, keyed by plan, finds every hypothesis holding a plan.
+        hypothesis holding it replays the resulting plans and counts their
+        attempts. The step adds all its attempts to the counter at once.
+        ``hyps`` must come from this engine's ``nodes`` (its own earlier
+        steps, or parsed into ``nodes``), so the memo, keyed by plan, finds
+        every hypothesis holding a plan.
 
         Candidates are built in the order of a per-hypothesis loop: the
         direct combinations over all plans, then for each fragment its child
         fusions over all plans, its sibling joins over all plans and the
-        standalone fragment. Standalone fragments are stored without a dedup
-        check (see :func:`combine_independently`). The result keeps the
-        order in which the hypotheses were first built, which the input
-        order fixes; :func:`k_best`, the top-down compile and
+        standalone fragment. Standalone fragments are appended as
+        :func:`combine_independently` does, one multiplication each, and
+        stored without a dedup check. The result keeps the order in which the
+        hypotheses were first built, which the input order fixes;
+        :func:`k_best`, the top-down compile and
         :func:`~planrec.runner.emit_hypotheses` rank for themselves."""
         lib, nodes = self.lib, self.nodes
         if not lib.is_terminal(obs):
@@ -268,13 +278,15 @@ class SlimEngine:
 
         memo: dict[PlanNode, tuple[int, list[list[PlanNode]] | None]] = {}
         out: dict[tuple[PlanNode, ...], Hypothesis] = {}
+        append = Hypothesis.with_plan
+        attempts = 0
         for h in hyps:
             found = []
             for pi, plan in enumerate(h.plans):
                 result = memo.get(plan)
                 if result is None:
                     result = memo[plan] = combine(plan)
-                counter.n += result[0]
+                attempts += result[0]
                 if result[1] is not None:
                     found.append((pi, result[1]))
             if found:
@@ -283,8 +295,9 @@ class SlimEngine:
                 if found:
                     replay(h, found, 2 * i + 1)
                     replay(h, found, 2 * i + 2)
-                cand = combine_independently(h, f, counter)
+                cand = append(h, f)
                 out[cand.plans] = cand
+        counter.n += attempts + len(hyps) * len(fragments)
         if not out:
             raise RecognitionFailure(ts, lib.name(obs))
         return tuple(out.values())
@@ -295,6 +308,7 @@ class SlimEngine:
         compile rather than at construction."""
         return _split_skip_sound(self.lib, self.cfg.max_depth)
 
+    @collector_paused
     def compile_top_down(self, hyps: Iterable[Hypothesis]) -> tuple[list[Hypothesis], int]:
         """Top-down compile the k best local hypotheses; returns the merged
         goal-rooted list and the elapsed microseconds.
@@ -368,30 +382,14 @@ class SlimEngine:
             split.sort(key=_MIN_TS)
             return tuple(split) in selected_plans
 
-        def compile_group(locals_: list[Hypothesis], depth: int, states: dict,
-                          checked: bool):
-            # ``checked``: the shared prefix holds a joined plan, so every
-            # local here already passed the split check
-            by_plan: dict[PlanNode, list[Hypothesis]] = {}
-            for local in locals_:
-                if len(local.plans) == depth:
-                    out.update(states)
-                else:
-                    by_plan.setdefault(local.plans[depth], []).append(local)
-            for plan, group in by_plan.items():
-                target = own.get(plan)
-                if target is None:
-                    target = own[plan] = adopt(plan)
-                joined = target.height > 1
-                if skip and joined and not checked:
-                    group = [local for local in group if not split_selected(local)]
-                    if not group:
-                        continue
-                sub = self._phatt.advance(states.values(), target)
-                if sub:
-                    compile_group(group, depth + 1, sub, checked or joined)
+        def target_of(plan: PlanNode) -> PlanNode:
+            target = own.get(plan)
+            if target is None:
+                target = own[plan] = adopt(plan)
+            return target
 
-        compile_group(selected, 0, {EMPTY_HYPOTHESIS.plans: EMPTY_HYPOTHESIS}, False)
+        _compile_group(self._phatt.advance, target_of, split_selected if skip else None, out,
+                       selected, 0, {EMPTY_HYPOTHESIS.plans: EMPTY_HYPOTHESIS}, False)
         merged = ranked(out.values())
         elapsed = (time.perf_counter_ns() - t0) // 1000
         return merged, elapsed
@@ -400,18 +398,45 @@ class SlimEngine:
 _MIN_TS = attrgetter("min_ts")
 
 
+def _compile_group(advance, target_of, split_selected, out: dict,
+                   locals_: list[Hypothesis], depth: int, states: dict, checked: bool):
+    """Compile ``locals_``, which share their first ``depth`` plans, from
+    ``states``, the hypotheses those plans compile to; the results go into
+    ``out``. ``split_selected`` is the split check, None when the skip is off;
+    ``checked``: the shared prefix holds a joined plan, so every local here
+    already passed it. Module-level recursion: a nested recursive function
+    would hold itself in a reference cycle."""
+    by_plan: dict[PlanNode, list[Hypothesis]] = {}
+    for local in locals_:
+        if len(local.plans) == depth:
+            out.update(states)
+        else:
+            by_plan.setdefault(local.plans[depth], []).append(local)
+    for plan, group in by_plan.items():
+        target = target_of(plan)
+        joined = target.height > 1
+        if split_selected is not None and joined and not checked:
+            group = [local for local in group if not split_selected(local)]
+            if not group:
+                continue
+        sub = advance(states.values(), target)
+        if sub:
+            _compile_group(advance, target_of, split_selected, out,
+                           group, depth + 1, sub, checked or joined)
+
+
 def _fragments(plan: PlanNode) -> list[PlanNode]:
     """The plan's depth-1 subtrees in tree order; empty when one of them holds
     no observation or the plan itself is a bare node, since neither replays."""
     out: list[PlanNode] = []
+    return out if plan.height and _collect_fragments(plan, out) else []
 
-    def collect(node: PlanNode) -> bool:
-        if node.height == 1:
-            out.append(node)
-            return node.min_ts is not None
-        return all(collect(child) for child in node.children if child.height)
 
-    return out if plan.height and collect(plan) else []
+def _collect_fragments(node: PlanNode, out: list[PlanNode]) -> bool:
+    if node.height == 1:
+        out.append(node)
+        return node.min_ts is not None
+    return all(_collect_fragments(child, out) for child in node.children if child.height)
 
 
 def _split_skip_sound(lib: PlanLibrary, max_depth: int) -> bool:

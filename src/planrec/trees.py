@@ -203,23 +203,25 @@ def enabled_frontier(root: PlanNode) -> tuple[tuple[Path, int], ...]:
     complete subtree.
     """
     out: list[tuple[Path, int]] = []
-
-    def visit(node: PlanNode, path: Path):
-        if node.rule is None:
-            if node.ts is None:
-                out.append((path, node.symbol))
-            return
-        if not node.open_count:
-            return
-        children = node.children
-        for j, child in enumerate(children):
-            if child.open_count:
-                preds = node.rule.preds[j]
-                if not any(children[i].open_count for i in preds):
-                    visit(child, path + (j,))
-
-    visit(root, ())
+    _visit_frontier(root, (), out)
     return tuple(out)
+
+
+def _visit_frontier(node: PlanNode, path: Path, out: list[tuple[Path, int]]):
+    # module-level recursion: a nested recursive function would hold itself
+    # in a reference cycle, garbage only the cyclic collector frees
+    if node.rule is None:
+        if node.ts is None:
+            out.append((path, node.symbol))
+        return
+    if not node.open_count:
+        return
+    children = node.children
+    for j, child in enumerate(children):
+        if child.open_count:
+            preds = node.rule.preds[j]
+            if not any(children[i].open_count for i in preds):
+                _visit_frontier(child, path + (j,), out)
 
 
 def try_fuse(nodes: NodeTable, root: PlanNode, path: Path, sub: PlanNode) -> PlanNode | None:
@@ -227,24 +229,21 @@ def try_fuse(nodes: NodeTable, root: PlanNode, path: Path, sub: PlanNode) -> Pla
 
     Rejections: the node is not open frontier, the symbols differ, or the
     substitution violates an ordering constraint at some ancestor. Inputs are
-    never mutated; the rebuilt ancestors come from ``nodes``.
+    never mutated; the rebuilt ancestors come from ``nodes``, deepest first.
     """
-
-    def rebuild(node: PlanNode, depth: int) -> PlanNode | None:
-        if depth == len(path):
-            if not node.is_open:
-                return None
-            if node.symbol != sub.symbol:
-                return None
-            return sub
-        i = path[depth]
-        child = rebuild(node.children[i], depth + 1)
-        if child is None:
+    spine = []
+    node = root
+    for i in path:
+        spine.append(node)
+        node = node.children[i]
+    if not node.is_open or node.symbol != sub.symbol:
+        return None
+    for i, parent in zip(reversed(path), reversed(spine)):
+        children = parent.children
+        sub = try_expand(nodes, parent.rule, children[:i] + (sub,) + children[i + 1:])
+        if sub is None:
             return None
-        children = node.children[:i] + (child,) + node.children[i + 1:]
-        return try_expand(nodes, node.rule, children)
-
-    return rebuild(root, 0)
+    return sub
 
 
 # ---------------------------------------------------------------------------
@@ -297,8 +296,19 @@ class Hypothesis:
         return Hypothesis(plans, weight)
 
     def with_plan(self, plan: PlanNode, prior: float | None = None) -> "Hypothesis":
-        """Append ``plan``, which must hold the newest observation."""
-        return Hypothesis.build(self.plans + (plan,), prior)
+        """Append ``plan``, which must hold the newest observation.
+
+        One multiplication instead of :meth:`build`'s pass over every plan.
+        Precondition: ``self.weight`` is :meth:`build`'s weight of
+        ``self.plans`` with the same ``prior``. Then the result's weight is
+        bit-identical to ``build(self.plans + (plan,), prior)``'s, since
+        :meth:`build` multiplies in the same order, left to right from 1.0.
+        Every hypothesis the engines build or :func:`parse_hypothesis` reads
+        meets it, and so does :data:`EMPTY_HYPOTHESIS`."""
+        weight = self.weight * plan.weight
+        if prior is not None:
+            weight *= prior
+        return Hypothesis(self.plans + (plan,), weight)
 
     def with_replaced(self, index: int, plan: PlanNode, prior: float | None = None) -> "Hypothesis":
         """Replace plan ``index`` with ``plan`` of the same smallest timestamp."""

@@ -139,3 +139,65 @@ def test_bench_pairs_summary(tmp_path):
         [["9/10", "yes", "no"], ["4/10", "no", "no"], ["10/10", "yes", "-"], ["0/10", "no", "yes"]]
     with pytest.raises(ValueError):
         pairs.summarize(parent, change[:9])
+
+
+BENCH_ENTRY_KEYS = {"commit", "python", "seeds", "runs", "correct", "kernel_ms", "metrics"}
+
+
+def check_bench_file(path):
+    """The schema of a ``BENCH_<label>.json`` that ``bench_pairs.py`` writes."""
+    record = json.loads(path.read_text(encoding="utf-8"))
+    assert set(record) == {"label", "workloads"}
+    assert path.name == f"BENCH_{record['label']}.json"
+    assert record["workloads"]
+    for entry in record["workloads"].values():
+        assert set(entry) == BENCH_ENTRY_KEYS
+        assert entry["commit"] is None or isinstance(entry["commit"], str)
+        assert entry["runs"] == len(entry["seeds"]) > 0
+        assert all(isinstance(seed, int) for seed in entry["seeds"])
+        assert isinstance(entry["correct"], bool)
+        assert entry["kernel_ms"] is None or entry["kernel_ms"] > 0
+        assert entry["metrics"]
+        for stats in entry["metrics"].values():
+            assert set(stats) == {"unit", "q1", "median", "q3"}
+            assert stats["q1"] <= stats["median"] <= stats["q3"]
+    return record
+
+
+def test_bench_pairs_writes_one_file_per_side(tmp_path):
+    pairs = load_script("bench_pairs.py")
+    stdout = [perfbench_stdout(slim_bu_s=bu, rss=rss).replace(
+        "  slim_td_s ...", f"  host speed: 90 probe samples, median kernel {kernel} ms")
+        for bu, rss, kernel in [(0.7, 180, 0.61), (0.5, 170, 0.55), (0.6, 190, 0.58)]]
+    runs = [pairs.parse_run(text) for text in stdout]
+    assert [run["kernel_ms"] for run in runs] == [0.61, 0.55, 0.58]
+    assert pairs.parse_run(perfbench_stdout(slim_bu_s=1.0))["kernel_ms"] is None
+    entry = pairs.bench_entry(runs, [5, 6, 7], "abc1234")
+    assert entry["metrics"]["slim_bu_s"] == \
+        {"unit": "s", "q1": pytest.approx(0.55), "median": 0.6, "q3": pytest.approx(0.65)}
+    assert (entry["seeds"], entry["runs"], entry["correct"], entry["kernel_ms"]) == \
+        ([5, 6, 7], 3, True, 0.58)
+    # a second workload joins the first in the same file
+    path = pairs.write_bench(tmp_path / "bench", "abc1234", "b4-paper", entry)
+    assert pairs.write_bench(tmp_path / "bench", "abc1234", "a3-paper", entry) == path
+    record = check_bench_file(path)
+    assert list(record["workloads"]) == ["a3-paper", "b4-paper"]
+    # a directory that is no git work tree's top records no commit
+    assert pairs.commit_of(tmp_path / "bench") is None
+    git = ["git", "-C", str(tmp_path), "-c", "user.name=t", "-c", "user.email=t@t"]
+    (tmp_path / "f.txt").write_text("1")
+    for args in (["init", "-q"], ["add", "f.txt"], ["commit", "-qm", "f"]):
+        subprocess.run(git + args, check=True, capture_output=True)
+    head = subprocess.run(git + ["rev-parse", "HEAD"], capture_output=True,
+                          text=True).stdout.strip()
+    assert pairs.commit_of(tmp_path) == head
+    (tmp_path / "f.txt").write_text("2")
+    assert pairs.commit_of(tmp_path) == head + "+dirty"
+
+
+@pytest.mark.parametrize("path", sorted((SCRIPTS.parent / "bench").glob("BENCH_*.json")),
+                         ids=lambda p: p.name)
+def test_committed_bench_files_follow_the_schema(path):
+    record = check_bench_file(path)
+    for entry in record["workloads"].values():
+        assert entry["correct"] and entry["commit"]

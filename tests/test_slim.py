@@ -1008,9 +1008,10 @@ def test_compile_keeps_output_and_counts(params, seed, k, case):
 def check_appends(monkeypatch, lib):
     """Check :func:`oracles.append_problems` after every PHATT advance (a
     PHATT step or one level of the top-down compile) and every SLIM bottom-up
-    step; returns ``[appends, replacements]`` counted over the checks."""
+    step; returns the ``[appends, replacements]`` counted over the checks,
+    by engine call: ``"advance"`` and ``"slim-step"``."""
     frames = []
-    totals = [0, 0]
+    totals = {"advance": [0, 0], "slim-step": [0, 0]}
     with_plan, with_replaced = Hypothesis.with_plan, Hypothesis.with_replaced
 
     def appended(self, *args):
@@ -1025,7 +1026,7 @@ def check_appends(monkeypatch, lib):
             frames[-1][1].append(h)
         return h
 
-    def checked(method):
+    def checked(method, name, expected_appends):
         def wrapper(*args):
             frames.append(([], []))
             try:
@@ -1034,15 +1035,22 @@ def check_appends(monkeypatch, lib):
                 appends, replacements = frames.pop()
             problems = append_problems(lib, appends, replacements)
             assert problems == [], problems[:3]
-            totals[0] += len(appends)
-            totals[1] += len(replacements)
+            # one append per input hypothesis and appended plan, every one
+            # of them built through with_plan
+            assert len(appends) == expected_appends(*args), name
+            totals[name][0] += len(appends)
+            totals[name][1] += len(replacements)
             return result
         return wrapper
 
     monkeypatch.setattr(Hypothesis, "with_plan", appended)
     monkeypatch.setattr(Hypothesis, "with_replaced", replaced)
-    monkeypatch.setattr(PhattEngine, "advance", checked(PhattEngine.advance))
-    monkeypatch.setattr(SlimEngine, "step", checked(SlimEngine.step))
+    monkeypatch.setattr(PhattEngine, "advance", checked(
+        PhattEngine.advance, "advance",
+        lambda engine, hyps, target: len(hyps) * len(engine.grafted(-1, target))))
+    monkeypatch.setattr(SlimEngine, "step", checked(
+        SlimEngine.step, "slim-step",
+        lambda engine, hyps, obs, ts: len(hyps) * len(create_fragments(engine.nodes, obs, ts))))
     return totals
 
 
@@ -1062,7 +1070,9 @@ def test_appends_equal_no_other_candidate(monkeypatch, lib, case):
             pass
         engine = SlimEngine(lib, cfg_all(lib))
         engine.compile_top_down(drive_engine(engine, names)[0])
-    assert totals[0] > 0 and totals[1] > 0
+    # both engines' calls were checked, on appends and on replacements
+    assert all(appends > 0 and replacements > 0
+               for appends, replacements in totals.values()), totals
 
 
 # ---------------------------------------------------------------------------

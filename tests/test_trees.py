@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, strategies as st
 
 from planrec.grammar import parse_library
 from planrec.trees import (
@@ -193,6 +194,29 @@ def test_empty_hypothesis():
     assert EMPTY_HYPOTHESIS.plans == ()
     assert EMPTY_HYPOTHESIS.weight == 1.0
     assert EMPTY_HYPOTHESIS.canon == ""
+
+
+def weighted_plan(weight):
+    # a bare plan whose weight is all with_plan and build read
+    return PlanNode(0, None, (), 1, 1, 1, weight, 0, 0, "a@1")
+
+
+WEIGHTS = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
+
+
+@given(st.lists(WEIGHTS, max_size=4), st.lists(WEIGHTS, min_size=1, max_size=12),
+       st.none() | st.floats(min_value=1e-6, max_value=1.0))
+def test_with_plan_weight_is_bit_identical_to_build(start, chain, prior):
+    # with_plan multiplies once; from a hypothesis whose weight build gave
+    # (the empty one or any built one), every append in a chain carries
+    # exactly build's float, not merely a close one
+    h = Hypothesis.build(tuple(map(weighted_plan, start)), prior) if start else EMPTY_HYPOTHESIS
+    for weight in chain:
+        plan = weighted_plan(weight)
+        appended = h.with_plan(plan, prior)
+        assert appended.plans == h.plans + (plan,)
+        assert appended.weight == Hypothesis.build(appended.plans, prior).weight
+        h = appended
 
 
 def test_parse_hypothesis_round_trip(nodes):
