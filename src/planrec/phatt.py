@@ -21,7 +21,9 @@ collector paused (:func:`collector_paused`), and so do
 the collections the allocations would trigger only rescan a growing heap and
 free nothing; reference counting frees what a call drops. Each call restores
 the caller's ``gc.isenabled()`` when it returns or raises, and a nested call
-leaves the state to the outermost one.
+leaves the state to the outermost one. The outermost call collects the
+youngest generation before it returns, so the one scan of what it built is
+part of the call, not of whatever the caller does next.
 """
 
 from __future__ import annotations
@@ -60,7 +62,9 @@ def collector_paused(method):
     """Decorate ``method`` to run with the cyclic garbage collector paused,
     restoring the state the call found, also when it raises. A call nested
     in another finds the collector paused and leaves it so, at the cost of
-    one check."""
+    one check. The outermost call collects the youngest generation before it
+    returns: its objects would otherwise be scanned at the caller's next
+    allocation, and the caller would pay for the call's garbage check."""
 
     @wraps(method)
     def paused(*args, **kwargs):
@@ -70,6 +74,7 @@ def collector_paused(method):
         try:
             return method(*args, **kwargs)
         finally:
+            gc.collect(0)
             gc.enable()
 
     return paused

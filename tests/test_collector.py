@@ -40,6 +40,25 @@ def test_engine_calls_leave_no_cyclic_garbage(collector):
     assert gc.collect() == 0  # PHATT
 
 
+def test_engine_calls_collect_their_young_objects(collector):
+    # the outermost call collects the youngest generation before it returns,
+    # so its caller's next allocation does not scan what the call built
+    lib = generate_domain(BENCH_B)
+    names = simulate_agent(lib, 2071)
+    gc.enable()
+    engine = SlimEngine(lib, TopDownConfig.for_library(lib, k=None))
+    hyps = (EMPTY_HYPOTHESIS,)
+    for ts, name in enumerate(names, start=1):
+        hyps = engine.step(hyps, lib.sym(name), ts)
+        assert gc.get_count()[0] < 10, ts
+    engine.compile_top_down(hyps)
+    assert gc.get_count()[0] < 10
+    phatt, hset = PhattEngine(lib), HypothesisSet.initial()
+    for name in names:
+        hset = phatt.step(hset, lib.sym(name))
+        assert gc.get_count()[0] < 10
+
+
 def phatt_step(lib, obs="a"):
     return PhattEngine(lib).step(HypothesisSet.initial(), lib.sym(obs))
 
