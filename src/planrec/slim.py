@@ -26,6 +26,14 @@ as a standalone plan. When the library makes that provable (see
 :meth:`SlimEngine.compile_top_down`), the compiler skips every joined local
 whose split it compiles too.
 
+A step fed the engine's own previous locals, from ``(EMPTY_HYPOTHESIS,)``
+on, returns them as a :class:`~planrec.forest.LocalSet`, a tuple that also
+records the step's fragments and combination memo. From those records the
+top-down builds the locals' plan DAG on first need (:mod:`planrec.forest`):
+:func:`k_best` reads the top k off it, and the compile of all of them walks
+it once per distinct prefix, with no per-local grouping and no split check.
+The timed step only keeps the record.
+
 :meth:`SlimEngine.step` and :meth:`SlimEngine.compile_top_down` run with the
 cyclic garbage collector paused, as :meth:`PhattEngine.advance` does; the
 policy and its reasons are in :mod:`planrec.phatt`.
@@ -39,6 +47,7 @@ from functools import cached_property
 from operator import attrgetter
 from typing import Iterable
 
+from .forest import SINK, LocalSet, StepRecord, best_paths
 from .grammar import ObservationError, PlanLibrary, Rule
 from .metrics import CombinationCounter
 from .phatt import PhattConfig, PhattEngine, RecognitionFailure, _merge, collector_paused
@@ -198,13 +207,22 @@ def combine_independently(h: Hypothesis, f: PlanNode,
     return h.with_plan(f)
 
 
-def k_best(hyps: Iterable[Hypothesis], k: int | None) -> list[Hypothesis]:
+def k_best(hyps: Iterable[Hypothesis], k: int | None) -> list[Hypothesis] | LocalSet:
     """Top ``k`` by weight, descending; ties broken by canonical form, in
     :func:`~planrec.trees.ranked` order (exact for hypotheses over one
     observation sequence), so no hypothesis's ``canon`` is built.
-    ``k=None`` keeps all of them unranked, in the order given."""
+
+    For a closed :class:`~planrec.forest.LocalSet` with more than ``k``
+    locals, :func:`~planrec.forest.best_paths` reads the top ``k`` off the
+    set's plan DAG, as new hypotheses equal to ``ranked(hyps, k)``'s in
+    plans and bit for bit in weight; anything else goes through
+    :func:`~planrec.trees.ranked`. ``k=None`` keeps all of them unranked, in
+    the order given: a closed set as itself, so that the compile can walk
+    its DAG, anything else as a list."""
     if k is None:
-        return list(hyps)
+        return hyps if isinstance(hyps, LocalSet) else list(hyps)
+    if isinstance(hyps, LocalSet) and len(hyps) > k > 0:
+        return best_paths(hyps.dag(), k)
     return ranked(hyps, k)
 
 
@@ -250,7 +268,13 @@ class SlimEngine:
         stored without a dedup check. The result keeps the order in which the
         hypotheses were first built, which the input order fixes;
         :func:`k_best`, the top-down compile and
-        :func:`~planrec.runner.emit_hypotheses` rank for themselves."""
+        :func:`~planrec.runner.emit_hypotheses` rank for themselves.
+
+        Fed ``(EMPTY_HYPOTHESIS,)`` or a :class:`~planrec.forest.LocalSet`,
+        the step returns a ``LocalSet``: the same tuple, plus a record of
+        its fragments and its memo, linked to the input's record, from which
+        the top-down builds the locals' plan DAG when it first needs it. Fed
+        anything else, it returns a plain tuple."""
         lib, nodes = self.lib, self.nodes
         if not lib.is_terminal(obs):
             raise ObservationError(ts, lib.name(obs), "is not a terminal")
@@ -300,6 +324,11 @@ class SlimEngine:
         counter.n += attempts + len(hyps) * len(fragments)
         if not out:
             raise RecognitionFailure(ts, lib.name(obs))
+        if isinstance(hyps, LocalSet):
+            return LocalSet(out.values(), StepRecord(hyps.record, fragments, memo))
+        if isinstance(hyps, tuple) and len(hyps) == 1 and hyps[0] is EMPTY_HYPOTHESIS:
+            start = StepRecord(None, (), {})
+            return LocalSet(out.values(), StepRecord(start, fragments, memo))
         return tuple(out.values())
 
     @cached_property
@@ -321,10 +350,12 @@ class SlimEngine:
         life. The output equals compiling each local alone and keeping one
         copy of each hypothesis, ranked by weight and then canonical form (a
         total order on distinct hypotheses), so the order of the locals does
-        not matter. Both the selection of the k best locals (:func:`k_best`)
-        and that final ranking go through :func:`~planrec.trees.ranked`,
-        exact here since the output, like the locals, explains one
-        observation sequence; neither builds a hypothesis's ``canon``.
+        not matter. The selection of the k best locals (:func:`k_best`:
+        over a closed set's plan DAG, else through
+        :func:`~planrec.trees.ranked`) and the final ranking
+        (:func:`~planrec.trees.ranked`) are exact here, since the output,
+        like the locals, explains one observation sequence; neither builds
+        a hypothesis's ``canon``.
 
         A selected local L is skipped when some plan of L has height above 1
         and L's split is selected too. The split is L's fragments, its
@@ -345,6 +376,19 @@ class SlimEngine:
         ``k``. Without the guard the subset can fail: under ``P -> Q c`` a
         fragment ``P(Q? c@t)`` grows past depth 1 once a plan fuses into its
         ``Q``, so its leaf ``c`` is left out of the split.
+
+        A closed :class:`~planrec.forest.LocalSet` given whole (``k`` None,
+        so :func:`k_best` hands it back as it is) is compiled by a walk over
+        its plan DAG, :func:`_compile_paths`, which advances each distinct
+        plan prefix once, as the grouping does. Under the guard the walk
+        follows only edges whose plan has height 1, and so drops every
+        joined local: by induction over the combiners, split(L) is a local
+        of a closed set whenever L is (an append adds the fragment to the
+        split; a child fusion or sibling join puts it in as a depth-1
+        subtree; a direct realization in fragment g is also enabled in g
+        standing alone), so each joined local's split is selected and the
+        per-local check would skip it too. A list, or any set that is not
+        closed, keeps the grouping and the per-local split check below.
 
         The locals may come from another engine (a fresh engine compiling
         one engine's locals). Plans from two tables that are equal in
@@ -388,8 +432,12 @@ class SlimEngine:
                 target = own[plan] = adopt(plan)
             return target
 
-        _compile_group(self._phatt.advance, target_of, split_selected if skip else None, out,
-                       selected, 0, {EMPTY_HYPOTHESIS.plans: EMPTY_HYPOTHESIS}, False)
+        start = {EMPTY_HYPOTHESIS.plans: EMPTY_HYPOTHESIS}
+        if isinstance(selected, LocalSet):
+            _compile_paths(self._phatt.advance, target_of, skip, out, selected.dag(), start)
+        else:
+            _compile_group(self._phatt.advance, target_of, split_selected if skip else None,
+                           out, selected, 0, start, False)
         merged = ranked(out.values())
         elapsed = (time.perf_counter_ns() - t0) // 1000
         return merged, elapsed
@@ -423,6 +471,23 @@ def _compile_group(advance, target_of, split_selected, out: dict,
         if sub:
             _compile_group(advance, target_of, split_selected, out,
                            group, depth + 1, sub, checked or joined)
+
+
+def _compile_paths(advance, target_of, height_one, out: dict, node, states: dict):
+    """Compile every path of a closed set's plan DAG below ``node`` from
+    ``states``, the hypotheses the path's prefix compiles to; the results go
+    into ``out``. With ``height_one`` (the split skip is sound) only edges
+    whose plan has height 1 are followed. The DAG is deterministic, so each
+    distinct prefix is advanced once, as :func:`_compile_group` does."""
+    if node is SINK:
+        out.update(states)
+        return
+    for plan, child in node.edges:
+        if height_one and plan.height > 1:
+            continue
+        sub = advance(states.values(), target_of(plan))
+        if sub:
+            _compile_paths(advance, target_of, height_one, out, child, sub)
 
 
 def _fragments(plan: PlanNode) -> list[PlanNode]:

@@ -329,6 +329,7 @@ EMPTY_HYPOTHESIS = Hypothesis((), 1.0)
 
 _PLANS = attrgetter("plans")
 _CANON = attrgetter("canon")
+_WEIGHT = attrgetter("weight")
 
 
 def rank_key(h: Hypothesis) -> tuple[float, str]:
@@ -355,64 +356,23 @@ def ranked(hyps: Iterable[Hypothesis], k: int | None = None) -> list[Hypothesis]
     plans ``0..i-1`` have plans ``i`` holding the same smallest timestamp.
 
     The tie-break is a tuple of int ranks, which puts no cap on the number
-    of distinct plans. For a finite ``k``, only the part of ``hyps`` that
-    :func:`_narrowed` keeps gets keys: about ``k`` of them.
+    of distinct plans. For ``k=None`` two stable sorts do the work, by the
+    rank tuples and then by weight descending, which compares floats alone;
+    a finite ``k`` takes :func:`heapq.nsmallest` of ``(-weight, ranks)``.
     """
     hyps = list(hyps)
-    if k is not None and len(hyps) > k:
-        hyps = _narrowed(hyps, k)
     plans = set(chain.from_iterable(map(_PLANS, hyps)))
     order = {canon: i for i, canon in enumerate(sorted(set(map(_CANON, plans))))}
     get = {plan: order[plan.canon] for plan in plans}.__getitem__
 
-    def key(h: Hypothesis):
-        return -h.weight, tuple(map(get, h.plans))
+    def ranks(h: Hypothesis) -> tuple[int, ...]:
+        return tuple(map(get, h.plans))
 
     if k is None:
-        hyps.sort(key=key)
+        hyps.sort(key=ranks)
+        hyps.sort(key=_WEIGHT, reverse=True)
         return hyps
-    return heapq.nsmallest(k, hyps, key=key)
-
-
-def _narrowed(hyps: list[Hypothesis], k: int) -> list[Hypothesis]:
-    """A part of ``hyps`` holding its first ``k`` in :func:`ranked` order,
-    so that only that part needs sort keys.
-
-    The hypotheses are grouped by weight, then by their plan at index 0, 1,
-    and so on. Groups are kept whole, in ranked order, while they fit in
-    ``k``; the group that does not fit is split at the next level, and the
-    groups after it are dropped. Splitting stops at a group of equal plan
-    tuples, or where two plans at the next index share a serialization
-    (plans of two tables), so hypotheses with equal sort keys always share a
-    group and keep the order given.
-    """
-    keep: list[Hypothesis] = []
-    depth = -1  # the weight level
-    while len(hyps) > k > 0:
-        groups: dict = {}
-        if depth < 0:
-            for h in hyps:
-                groups.setdefault(-h.weight, []).append(h)
-            order = sorted(groups)
-        else:
-            for h in hyps:
-                plans = h.plans
-                groups.setdefault(plans[depth] if len(plans) > depth else None, []).append(h)
-            order = sorted((plan for plan in groups if plan is not None), key=_CANON)
-            if len(set(map(_CANON, order))) < len(order):
-                break
-            if None in groups:  # the plans every member shares, alone: first
-                order.insert(0, None)
-        for group_key in order:
-            hyps = groups[group_key]
-            if len(hyps) > k:
-                break
-            keep += hyps
-            k -= len(hyps)
-        if group_key is None:
-            break
-        depth += 1
-    return keep + hyps if k else keep
+    return heapq.nsmallest(k, hyps, key=lambda h: (-h.weight, ranks(h)))
 
 
 # ---------------------------------------------------------------------------

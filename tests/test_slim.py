@@ -429,7 +429,7 @@ def test_ranked_orders_like_the_joined_canon(lib, case):
         assert trees.ranked(locals_) == expected
         for k in (1, 100):
             assert k_best(locals_, k) == expected[:k]
-        assert k_best(locals_, None) == list(locals_)
+        assert k_best(locals_, None) is locals_  # a closed set keeps its DAG
         outputs.append(engine.compile_top_down(k_best(locals_, 1000))[0])
 
     locals_, _ = drive_engine(engine, names, check)
@@ -815,9 +815,13 @@ def test_split_skip_without_the_guard_loses_hypotheses(case, names, max_depth, l
     engine = SlimEngine(lib, TopDownConfig.for_library(lib, k=None, max_depth=max_depth))
     locals_, _ = drive_engine(engine, names)
     engine._skip_split_covered = True  # force the skip past the guard
-    forced = {h.canon for h in engine.compile_top_down(locals_)[0]}
+    # a list takes the per-local split check; the closed set's DAG walk,
+    # which drops every joined local, since under the guard each one's
+    # split is a local too, loses at least as much
+    forced = {h.canon for h in engine.compile_top_down(list(locals_))[0]}
     union = {canon for canon, _ in per_local_union(lib, locals_, max_depth)}
     assert forced < union and len(union - forced) == lost
+    assert {h.canon for h in engine.compile_top_down(locals_)[0]} <= forced
 
 
 @pytest.mark.xfail(strict=True, reason="no combiner fuses an earlier plan into a "
