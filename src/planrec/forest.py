@@ -50,9 +50,7 @@ weights.
 
 from __future__ import annotations
 
-from operator import attrgetter
-
-from .trees import Hypothesis, PlanNode
+from .trees import _WEIGHT, Hypothesis, PlanNode
 
 
 class _Node:
@@ -80,8 +78,6 @@ _UNBUILT = object()
 def _edge_canon(edge: tuple[PlanNode, _Node]) -> str:
     return edge[0].canon
 
-
-_WEIGHT = attrgetter("weight")
 
 
 class StepRecord:

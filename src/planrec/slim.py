@@ -325,11 +325,12 @@ class SlimEngine:
         if not out:
             raise RecognitionFailure(ts, lib.name(obs))
         if isinstance(hyps, LocalSet):
-            return LocalSet(out.values(), StepRecord(hyps.record, fragments, memo))
-        if isinstance(hyps, tuple) and len(hyps) == 1 and hyps[0] is EMPTY_HYPOTHESIS:
-            start = StepRecord(None, (), {})
-            return LocalSet(out.values(), StepRecord(start, fragments, memo))
-        return tuple(out.values())
+            prev = hyps.record
+        elif isinstance(hyps, tuple) and len(hyps) == 1 and hyps[0] is EMPTY_HYPOTHESIS:
+            prev = StepRecord(None, (), {})
+        else:
+            return tuple(out.values())
+        return LocalSet(out.values(), StepRecord(prev, fragments, memo))
 
     @cached_property
     def _skip_split_covered(self) -> bool:
