@@ -7,10 +7,14 @@ on odd ones, so drift in host load falls on both sides. Each run's last
 standard-output line is its JSON result. Per end-to-end metric the script
 prints each side's median and quartiles, the change/parent ratio of the
 medians, how many pairs the change won, whether a gain claim holds (at
-least 10 pairs, the change better in at least 9 of 10, and the gap between
-the medians larger than the parent's quartile distance), and whether the
+least 10 pairs, the change better in at least 9 of 10, the gap between the
+medians larger than the parent's quartile distance, every run on both sides
+correct, and the change's failed share of operations no higher than the
+parent's), and whether the
 change regressed: its median worse than the parent's by more than the
 metric's ``bound`` in ``BENCHMARK.json``, a fraction of the parent's median.
+It also prints each side's failed share, ``failed / attempted`` summed over
+its runs.
 
 With ``--labels PARENT_LABEL CHANGE_LABEL`` it also records each side in
 the repository's ``bench/BENCH_<label>.json``, one entry per workload, so
@@ -56,6 +60,13 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
+def failed_share(runs: list[dict]) -> float:
+    """The share of the runs' attempted operations that failed, 0.0 when
+    they attempted none."""
+    attempted = sum(run.get("attempted", 0) for run in runs)
+    return sum(run.get("failed", 0) for run in runs) / attempted if attempted else 0.0
+
+
 def summarize(parent: list[dict], change: list[dict],
               better: dict[str, str] | None = None,
               bounds: dict[str, float] | None = None) -> list[dict]:
@@ -64,13 +75,16 @@ def summarize(parent: list[dict], change: list[dict],
     results of pair i; ``better`` maps a metric to "lower" (the default) or
     "higher", and ``bounds`` to the share of the parent's median by which
     the change's may be worse (a metric without one gets ``regressed``
-    None)."""
+    None). No metric carries a claim unless every run is correct and the
+    change's :func:`failed_share` is no higher than the parent's."""
     if len(parent) != len(change) or not parent:
         raise ValueError("need the same, nonzero number of runs on each side")
     better = better or {}
     bounds = bounds or {}
     names = [name for name in parent[0]["metrics"]
              if all(name in run["metrics"] for run in parent + change)]
+    trusted = (all(run.get("correct") for run in parent + change)
+               and failed_share(change) <= failed_share(parent))
     rows = []
     for name in names:
         old = [run["metrics"][name]["value"] for run in parent]
@@ -88,7 +102,7 @@ def summarize(parent: list[dict], change: list[dict],
             "ratio": new_q[1] / old_q[1] if old_q[1] else float("nan"),
             "wins": wins,
             "pairs": len(old),
-            "claim": (len(old) >= MIN_PAIRS and wins >= MIN_WIN_FRAC * len(old)
+            "claim": (trusted and len(old) >= MIN_PAIRS and wins >= MIN_WIN_FRAC * len(old)
                       and gap > old_q[2] - old_q[0]),
             "regressed": None if bound is None else -gap > bound * abs(old_q[1]),
         })
@@ -216,6 +230,8 @@ def main() -> int:
                   f"{result.get('failed', '?')} failed", flush=True)
     print(f"workload {args.workload}, {args.pairs} pairs, seeds "
           f"{args.seed_base}..{args.seed_base + args.pairs - 1}")
+    print(f"failed share: parent {failed_share(parent):.4g}, "
+          f"change {failed_share(change):.4g}")
     print(format_rows(summarize(parent, change, *_design(args.change))))
     if args.labels:
         seeds = list(range(args.seed_base, args.seed_base + args.pairs))

@@ -1,20 +1,22 @@
 """SLIM's local hypotheses as a plan DAG, built on demand.
 
-A bottom-up step (:meth:`~planrec.slim.SlimEngine.step`) takes every local
-hypothesis and either replaces one of its plans by a combination of that
-plan with the observation or appends one fragment. So the locals of a step
-are a product of few plans, and they fit in a small acyclic automaton over
-plans: a shared packed forest in the sense of Billot & Lang 1989, *The
-structure of shared forests in ambiguous parsing*. Each path from the root
-to :data:`SINK`, the one accepting node, spells the plan tuple of one local.
+A bottom-up step (:meth:`~planrec.slim.SlimEngine.step`, PHATT's loop
+:func:`~planrec.phatt.weave`) takes every local hypothesis and either
+appends one fragment or replaces one of its plans by a combination of that
+plan with the observation. So the locals of a step are a product of few
+plans, and they fit in a small acyclic automaton over plans: a shared packed
+forest in the sense of Billot & Lang 1989, *The structure of shared forests
+in ambiguous parsing*. Each path from the root to :data:`SINK`, the one
+accepting node, spells the plan tuple of one local.
 
-The step returns its locals as a :class:`LocalSet`: the tuple it always
-returned, in the same order, plus a :class:`StepRecord` of what the step
-computed anyway, its fragments and its per-plan combination memo, linked to
-the previous step's record. The record holds no reference to the previous
-tuple. A set whose record chain starts from ``(EMPTY_HYPOTHESIS,)`` is
-*closed*: it is the whole output of the engine's own bottom-up. Only closed
-sets are :class:`LocalSet`; a step fed any other input returns a plain tuple.
+The step returns its locals as a :class:`LocalSet`: a tuple, in the order
+:func:`~planrec.phatt.weave` built them, plus a :class:`StepRecord` of what
+the step computed anyway, its fragments and its per-plan combination memo
+(one flat tuple of combinations per plan), linked to the previous step's
+record. The record holds no reference to the previous tuple. A set whose
+record chain starts from ``(EMPTY_HYPOTHESIS,)`` is *closed*: it is the
+whole output of the engine's own bottom-up. Only closed sets are
+:class:`LocalSet`; a step fed any other input returns a plain tuple.
 
 :meth:`LocalSet.dag` builds the DAG from the records on first need, one step
 at a time, and caches each step's root on its record, so a later step, or a
@@ -82,10 +84,11 @@ def _edge_canon(edge: tuple[PlanNode, _Node]) -> str:
 
 class StepRecord:
     """What one bottom-up step computed, for the DAG: the previous step's
-    record, the step's fragments and its memo from each input plan to
-    ``(attempts, groups)``, ``groups`` the plan's combinations (None when
-    it has none). ``register`` is the record chain's hash-consing table and
-    ``root`` the step's DAG, once built."""
+    record, the step's fragments and its :func:`~planrec.phatt.weave` memo
+    from each input plan to ``(attempts, plans)``, ``plans`` the flat tuple
+    of the plan's combinations (empty when it has none). ``register`` is the
+    record chain's hash-consing table and ``root`` the step's DAG, once
+    built."""
 
     __slots__ = ("prev", "fragments", "memo", "register", "root")
 
@@ -103,8 +106,10 @@ class StepRecord:
 
 class LocalSet(tuple):
     """A closed bottom-up step's locals: a tuple, in the step's order, whose
-    ``record`` lets :meth:`dag` build their plan DAG. Slices and
-    concatenations are plain tuples."""
+    ``record`` lets :meth:`dag` build their plan DAG. Nothing reads that
+    order, and the DAG does not depend on it: the record's memo and
+    fragments fix the DAG's edge sets. Slices and concatenations are plain
+    tuples."""
 
     def __new__(cls, hyps, record: StepRecord):
         self = super().__new__(cls, hyps)
@@ -138,11 +143,8 @@ def _renew(u: _Node, record: StepRecord, made: dict) -> _Node | None:
         kept = _renew(v, record, made)
         if kept is not None:
             edges[plan, kept] = None
-        groups = memo[plan][1]
-        if groups is not None:
-            for group in groups:
-                for combined in group:
-                    edges[combined, v] = None
+        for combined in memo[plan][1]:
+            edges[combined, v] = None
     if u is SINK:
         for f in record.fragments:
             edges[f, SINK] = None

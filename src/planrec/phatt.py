@@ -10,7 +10,9 @@ direct realization of open terminal leaves and direct grafting.
 :meth:`PhattEngine.advance` is the one modified-PHATT step: it weaves a
 target node into every hypothesis. PHATT's own step passes the observation's
 realized leaf as the target; SLIM's top-down compiler replays the plans of a
-local hypothesis through the same method.
+local hypothesis through the same method. Its loop, :func:`weave` (append
+each new plan, or replace one plan by its combinations), is also SLIM's
+bottom-up step, with fragments as the new plans.
 
 Collector policy: :meth:`PhattEngine.advance`, and with it every PHATT step
 and every level of SLIM's top-down compile, runs with the cyclic garbage
@@ -31,7 +33,7 @@ from __future__ import annotations
 import gc
 from dataclasses import dataclass
 from functools import wraps
-from typing import Iterable
+from typing import Callable, Collection
 
 from .grammar import PROB_TOL, ObservationError, PlanLibrary
 from .metrics import CombinationCounter
@@ -218,52 +220,35 @@ class PhattEngine:
         return plans
 
     @collector_paused
-    def advance(self, hyps: Iterable[Hypothesis], target: PlanNode
+    def advance(self, hyps: Collection[Hypothesis], target: PlanNode
                 ) -> dict[tuple[PlanNode, ...], Hypothesis]:
         """One modified-PHATT step: weave ``target`` into every hypothesis,
         as a new goal-rooted plan or grafted at an enabled open node of one
         of its plans. Returns the results keyed by plan tuple, in the order
         first built.
 
-        A graft into a plan does not depend on the hypothesis holding it, so
-        each distinct plan is walked once per engine and target: every entry
-        of its :meth:`frontier` is fused with every :meth:`grafted` plan of
-        the entry's symbol. A memo keyed by target, then plan, keeps the
-        walk's attempt count and fused plans for the engine's life (compile
-        levels, slim-k variants and queries share walks), and every
-        hypothesis holding the plan adds the count to the counter and
-        replays the fused plans in walk order.
+        This is :func:`weave` with the goal-rooted grafts of ``target`` as
+        the appends. A graft into a plan does not depend on the hypothesis
+        holding it, so each distinct plan is walked once per engine and
+        target: a memo keyed by target, then plan, keeps the walk's attempt
+        count and fused plans for the engine's life (compile levels, slim-k
+        variants and queries share walks). A walk fuses every entry of the
+        plan's :meth:`frontier` with every :meth:`grafted` plan of the
+        entry's symbol. Every plan built here is goal-rooted and carries the
+        uniform goal prior, ``1 / len(lib.goals)``, once. The cyclic
+        collector is paused during the call (:func:`collector_paused`)."""
+        def walk(plan: PlanNode) -> tuple[int, tuple[PlanNode, ...]]:
+            nodes = self.nodes
+            tried = [try_fuse(nodes, plan, path, sub) for path, sym in self.frontier(plan)
+                     for sub in self.grafted(sym, target)]
+            return len(tried), tuple(f for f in tried if f is not None)
 
-        A new goal-rooted plan is stored without a dedup check, since such
-        an append can equal no other candidate of the call. The appended
-        plan holds ``target``'s observations and nothing else, and no input
-        hypothesis holds them; a graft puts them into a plan that also holds
-        older ones (every plan the engines build holds an observation). Two
-        appends are equal only when they share the input hypothesis and the
-        goal tree, and the input holds no duplicate. Grafts can collide, so
-        they go through :func:`_merge`. Every plan built here is goal-rooted
-        and carries the uniform goal prior, ``1 / len(lib.goals)``, once.
-        The cyclic collector is paused during the call (:func:`collector_paused`)."""
-        nodes = self.nodes
-        prior = 1.0 / len(self.lib.goals)
-        counter = self.counter
-        roots = self.grafted(-1, target)
-        memo = self._fuse_memo.setdefault(target, {})
-        out: dict[tuple[PlanNode, ...], Hypothesis] = {}
-        for h in hyps:
-            counter.n += len(roots)
-            for plan in roots:  # a new goal-rooted plan
-                cand = h.with_plan(plan, prior)
-                out[cand.plans] = cand
-            for pi, p in enumerate(h.plans):  # graft into an existing plan
-                found = memo.get(p)
-                if found is None:
-                    tried = [try_fuse(nodes, p, path, sub) for path, sym in self.frontier(p)
-                             for sub in self.grafted(sym, target)]
-                    found = memo[p] = (len(tried), tuple(f for f in tried if f is not None))
-                counter.n += found[0]
-                for node in found[1]:
-                    _merge(out, h.with_replaced(pi, node, prior))
+        memo = self._fuse_memo.get(target)
+        if memo is None:
+            memo = self._fuse_memo[target] = {}
+        out, attempts = weave(hyps, self.grafted(-1, target), memo, walk,
+                              1.0 / len(self.lib.goals))
+        self.counter.n += attempts
         return out
 
     def step(self, hset: HypothesisSet, obs: int) -> HypothesisSet:
@@ -276,6 +261,44 @@ class PhattEngine:
         if not out:
             raise RecognitionFailure(n, lib.name(obs))
         return HypothesisSet(n, tuple(out.values()))
+
+
+def weave(hyps: Collection[Hypothesis], appends: tuple[PlanNode, ...], memo: dict,
+          combine: Callable[[PlanNode], tuple[int, tuple[PlanNode, ...]]],
+          prior: float | None = None
+          ) -> tuple[dict[tuple[PlanNode, ...], Hypothesis], int]:
+    """Both engines' step: every hypothesis gets each plan of ``appends``
+    appended, then each of its plans replaced, in turn, by every plan that
+    ``memo`` gives for it. A plan missing from ``memo`` is combined once,
+    ``memo[plan] = combine(plan)``, as ``(attempts, plans)``: a replacement
+    does not depend on the hypothesis holding the plan. Returns the results
+    keyed by plan tuple, in the order first built (for each hypothesis, its
+    appends, then its replacements plan by plan), and the attempts: one per
+    append, plus each plan's count for every hypothesis holding it.
+
+    An append is stored without a dedup check, since it can equal no other
+    candidate of the call: a plan of ``appends`` holds only observations no
+    input hypothesis holds (the newest one, or a compiled plan's), while a
+    replacement puts them into a plan that also holds older ones (every plan
+    the engines build holds an observation). Two appends are equal only when
+    they share the input hypothesis and the appended plan, and the input
+    holds no duplicate. Replacements can collide, so they go through
+    :func:`_merge`. ``prior`` is the goal prior each plan carries (None for
+    SLIM's locals)."""
+    out: dict[tuple[PlanNode, ...], Hypothesis] = {}
+    attempts = len(hyps) * len(appends)
+    for h in hyps:
+        for plan in appends:
+            cand = h.with_plan(plan, prior)
+            out[cand.plans] = cand
+        for pi, p in enumerate(h.plans):
+            found = memo.get(p)
+            if found is None:
+                found = memo[p] = combine(p)
+            attempts += found[0]
+            for node in found[1]:
+                _merge(out, h.with_replaced(pi, node, prior))
+    return out, attempts
 
 
 def _merge(out: dict[tuple[PlanNode, ...], Hypothesis], cand: Hypothesis):

@@ -5,11 +5,15 @@ each one rule over the realized observation and open siblings. They are
 combined with the running local hypotheses four ways: realizing an open
 terminal leaf directly, fusing a fragment into a matching open node, joining
 a plan and a fragment under a freshly created common parent, or keeping the
-fragment as a standalone plan. The first three work on one plan and do not
-depend on the rest of its hypothesis, so a step works them out once for each
-distinct plan of its input and replays the results for every hypothesis
-holding that plan; the first two are one fusion loop, of the realized leaf or
-of a fragment, over the plan's enabled frontier. Local hypotheses never grow
+fragment as a standalone plan. These are PHATT's two moves (Geib & Goldman
+2009): the last appends a new plan, and the first three replace one plan of
+the hypothesis by a combination of it with the observation. So a step is
+:func:`~planrec.phatt.weave`, the loop :meth:`PhattEngine.advance` runs
+too, with the fragments as the appends. The first three do not depend on
+the rest of the hypothesis, so a step works them out once for each distinct
+plan of its input, as one flat tuple, and every hypothesis holding that plan
+replays it; the first two are one fusion loop, of the realized leaf or of a
+fragment, over the plan's enabled frontier. Local hypotheses never grow
 paths toward the goals; on demand, the top-down compiler replays their plans
 (in creation order) through :meth:`PhattEngine.advance`, the modified-PHATT
 step that PHATT runs with a realized leaf as the target and the compiler runs
@@ -50,7 +54,7 @@ from typing import Iterable
 from .forest import SINK, LocalSet, StepRecord, best_paths
 from .grammar import ObservationError, PlanLibrary, Rule
 from .metrics import CombinationCounter
-from .phatt import PhattConfig, PhattEngine, RecognitionFailure, _merge, collector_paused
+from .phatt import PhattConfig, PhattEngine, RecognitionFailure, collector_paused, weave
 from .trees import (
     EMPTY_HYPOTHESIS,
     Hypothesis,
@@ -130,7 +134,7 @@ def sibling_slots(nodes: NodeTable, sym: int
 #
 # The first three take one plan and return the plans that replace it: they
 # do not depend on the hypothesis holding the plan, so :meth:`SlimEngine.step`
-# calls them once per distinct plan of a step and replays their results.
+# calls them once per distinct plan of a step, through :func:`weave`.
 # ---------------------------------------------------------------------------
 
 
@@ -195,14 +199,10 @@ def combine_independently(h: Hypothesis, f: PlanNode,
     one attempt.
 
     :meth:`SlimEngine.step` builds its appends the same way, through
-    :meth:`~planrec.trees.Hypothesis.with_plan`, but inline, and adds their
-    attempts to the counter in one sum. It stores them without a dedup
-    check, since an append can equal no other candidate of its step. The
-    fragment holds the newest observation and nothing else, while the other
-    three combinations put that observation into a plan that also holds
-    older ones (every plan the engines build holds an observation). Two
-    appends are equal only when they share the input hypothesis and the
-    fragment, and a step's input holds no duplicate."""
+    :meth:`~planrec.trees.Hypothesis.with_plan`, but in
+    :func:`~planrec.phatt.weave`, which counts one attempt per append in its
+    sum and stores the appends without a dedup check (its docstring says why
+    an append can equal no other candidate)."""
     counter.n += 1
     return h.with_plan(f)
 
@@ -251,22 +251,22 @@ class SlimEngine:
         """Combine observation ``obs`` (step ``ts``) with every local hypothesis
         through all four functions, keeping one hypothesis per plan tuple.
 
-        The direct, child and sibling combinations of a plan do not depend on
-        the hypothesis holding it, so each distinct plan of ``hyps`` is
-        combined once, with its enabled frontier read once, and every
-        hypothesis holding it replays the resulting plans and counts their
-        attempts. The step adds all its attempts to the counter at once.
-        ``hyps`` must come from this engine's ``nodes`` (its own earlier
-        steps, or parsed into ``nodes``), so the memo, keyed by plan, finds
-        every hypothesis holding a plan.
+        The step is :func:`~planrec.phatt.weave` with the fragments as the
+        appends and a memo of the step's own: each distinct plan of ``hyps``
+        is combined once, with its enabled frontier read once, into one flat
+        tuple (its direct combinations, then each fragment's child fusions
+        and sibling joins), and every hypothesis holding the plan replaces
+        it by each of them and counts its attempts. The step adds all its
+        attempts to the counter at once. ``hyps`` must come from this
+        engine's ``nodes`` (its own earlier steps, or parsed into
+        ``nodes``), so the memo, keyed by plan, finds every hypothesis
+        holding a plan.
 
-        Candidates are built in the order of a per-hypothesis loop: the
-        direct combinations over all plans, then for each fragment its child
-        fusions over all plans, its sibling joins over all plans and the
-        standalone fragment. Standalone fragments are appended as
-        :func:`combine_independently` does, one multiplication each, and
-        stored without a dedup check. The result keeps the order in which the
-        hypotheses were first built, which the input order fixes;
+        Candidates are built in :func:`~planrec.phatt.weave`'s order: for
+        each input hypothesis, its standalone fragments, appended as
+        :func:`combine_independently` does, then its replacements plan by
+        plan. The result keeps the order in which the hypotheses were first
+        built, which the input order fixes; nothing reads it, since
         :func:`k_best`, the top-down compile and
         :func:`~planrec.runner.emit_hypotheses` rank for themselves.
 
@@ -278,50 +278,23 @@ class SlimEngine:
         lib, nodes = self.lib, self.nodes
         if not lib.is_terminal(obs):
             raise ObservationError(ts, lib.name(obs), "is not a terminal")
-        counter, frontier = self.counter, self._phatt.frontier
+        frontier = self._phatt.frontier
         leaf = realized_leaf(nodes, obs, ts)
         fragments = create_fragments(nodes, obs, ts)
         slots = [sibling_slots(nodes, f.symbol) for f in fragments]
 
-        def combine(plan: PlanNode):
-            # (attempts, groups): groups[0] holds the direct combinations,
-            # groups[2i + 1] and groups[2i + 2] fragment i's child fusions and
-            # sibling joins; None when every group is empty
-            plan_counter = CombinationCounter()
+        def combine(plan: PlanNode) -> tuple[int, tuple[PlanNode, ...]]:
+            counter = CombinationCounter()
             entries = frontier(plan)
-            groups = [combine_directly(nodes, plan, leaf, plan_counter, entries)]
+            found = combine_directly(nodes, plan, leaf, counter, entries)
             for f, f_slots in zip(fragments, slots):
-                groups.append(combine_as_child(nodes, plan, f, plan_counter, entries))
-                groups.append(combine_as_sibling(nodes, plan, f, f_slots, plan_counter))
-            return plan_counter.n, (groups if any(groups) else None)
+                found += combine_as_child(nodes, plan, f, counter, entries)
+                found += combine_as_sibling(nodes, plan, f, f_slots, counter)
+            return counter.n, tuple(found)
 
-        def replay(h: Hypothesis, found, g: int):
-            for pi, groups in found:
-                for node in groups[g]:
-                    _merge(out, h.with_replaced(pi, node))
-
-        memo: dict[PlanNode, tuple[int, list[list[PlanNode]] | None]] = {}
-        out: dict[tuple[PlanNode, ...], Hypothesis] = {}
-        append = Hypothesis.with_plan
-        attempts = 0
-        for h in hyps:
-            found = []
-            for pi, plan in enumerate(h.plans):
-                result = memo.get(plan)
-                if result is None:
-                    result = memo[plan] = combine(plan)
-                attempts += result[0]
-                if result[1] is not None:
-                    found.append((pi, result[1]))
-            if found:
-                replay(h, found, 0)
-            for i, f in enumerate(fragments):
-                if found:
-                    replay(h, found, 2 * i + 1)
-                    replay(h, found, 2 * i + 2)
-                cand = append(h, f)
-                out[cand.plans] = cand
-        counter.n += attempts + len(hyps) * len(fragments)
+        memo: dict[PlanNode, tuple[int, tuple[PlanNode, ...]]] = {}
+        out, attempts = weave(hyps, fragments, memo, combine)
+        self.counter.n += attempts
         if not out:
             raise RecognitionFailure(ts, lib.name(obs))
         if isinstance(hyps, LocalSet):

@@ -135,6 +135,32 @@ def test_dag_equals_the_locals_on_random_libraries(lib, seed):
             assert walk == compiled(SlimEngine(lib, cfg), list(hyps))
 
 
+@settings(max_examples=100, deadline=None)
+@given(libraries(), st.integers(0, 10_000))
+def test_finite_k_split_skip_keeps_output_on_random_libraries(lib, seed):
+    # a finite k compiles the k best locals as a list, through the per-local
+    # split check, and random libraries give many equal weights, so the cut
+    # often falls between tied locals; skipping must change no output
+    names = simulate_agent(lib, seed)[:5]
+    cfgs = {k: TopDownConfig.for_library(lib, k=k) for k in (1, 3)}
+    if not _split_skip_sound(lib, cfgs[1].max_depth):
+        return
+    engine = SlimEngine(lib)
+    hyps = (EMPTY_HYPOTHESIS,)
+    for ts, name in enumerate(names, start=1):
+        try:
+            hyps = engine.step(hyps, lib.sym(name), ts)
+        except RecognitionFailure:
+            return
+        if len(hyps) > 64:  # bigger sets can compile to millions of hypotheses
+            return
+        for k, cfg in cfgs.items():
+            unchecked = SlimEngine(lib, cfg)
+            unchecked._skip_split_covered = False
+            assert compiled(SlimEngine(lib, cfg), hyps)[0] == compiled(unchecked, hyps)[0], \
+                (ts, k)
+
+
 def test_k_best_breaks_ties_by_canon_on_the_dag():
     # four equal-weight plans per step: every top-k cuts through ties
     lib = parse_library("terminals: a b\nnonterminals: G X Y\ngoals: G\n"

@@ -83,9 +83,10 @@ def load_script(name):
     return module
 
 
-def perfbench_stdout(**metrics):
-    """A perfbench run's output: a readable summary, then one JSON line."""
-    result = {"correct": True, "attempted": 3, "failed": 0,
+def perfbench_stdout(failed=0, **metrics):
+    """A perfbench run's output: a readable summary, then one JSON line;
+    ``failed`` of its 3 operations failed."""
+    result = {"correct": failed == 0, "attempted": 3, "failed": failed,
               "metrics": {name: {"value": value, "unit": "s"}
                           for name, value in metrics.items()}}
     return f"workload w (seed 1, trace 0)\n  slim_td_s ...\n{json.dumps(result)}\n"
@@ -139,6 +140,32 @@ def test_bench_pairs_summary(tmp_path):
         [["9/10", "yes", "no"], ["4/10", "no", "no"], ["10/10", "yes", "-"], ["0/10", "no", "yes"]]
     with pytest.raises(ValueError):
         pairs.summarize(parent, change[:9])
+
+
+def test_bench_pairs_claims_nothing_over_failures():
+    pairs = load_script("bench_pairs.py")
+    parent_td = [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.00, 1.02, 0.98]
+
+    def runs(values, failed=()):
+        return [pairs.last_json(perfbench_stdout(failed=i in failed, slim_td_s=value))
+                for i, value in enumerate(values)]
+
+    parent = runs(parent_td)
+    faster = [value * 0.8 for value in parent_td]
+    assert pairs.summarize(parent, runs(faster))[0]["claim"]
+    # a change that is not correct in one run claims nothing, however fast
+    wrong = runs(faster, failed={3})
+    assert not wrong[3]["correct"]
+    assert pairs.failed_share(wrong) == pytest.approx(1 / 30)
+    assert not pairs.summarize(parent, wrong)[0]["claim"]
+    # nor does one compared against a parent that is not correct: both sides
+    # must be, even when the change fails no more than the parent
+    assert pairs.failed_share(parent) == 0.0
+    assert not pairs.summarize(runs(parent_td, failed={3}), wrong)[0]["claim"]
+    # a share is summed over the runs; runs that attempted nothing fail none
+    assert pairs.failed_share([{"attempted": 3, "failed": 1}, {"attempted": 1, "failed": 1}]) \
+        == 0.5
+    assert pairs.failed_share([{"attempted": 0, "failed": 0}]) == 0.0
 
 
 BENCH_ENTRY_KEYS = {"commit", "python", "seeds", "runs", "correct", "kernel_ms", "metrics"}

@@ -933,28 +933,43 @@ def test_bottom_up_combines_each_distinct_plan_once(monkeypatch, params, seed, p
     assert checked_expands > 0
 
 
-# Per bottom-up step: the attempts counted and a digest of the ordered
-# (canon, repr(weight)) list of the locals it returns, recorded from the
-# per-hypothesis loop the per-plan memo replaced.
+# Per bottom-up step: the attempts counted, a digest of the ordered
+# (canon, repr(weight)) list of the locals it returns and a digest of the
+# same list sorted. The attempts and the sorted digests were recorded from
+# the per-hypothesis loop the per-plan memo replaced, and again from the step
+# that built each fragment's candidates in groups (direct combinations over
+# all plans, then per fragment its child fusions, sibling joins and append),
+# so every step still returns the same locals with the same weights. The
+# ordered digests pin weave's order: for each input hypothesis, its appends,
+# then its replacements plan by plan.
 BOTTOM_UP_STEPS = {
     "benchmark-a-1000": [
-        (2, "ba384a889f37ac69"), (4, "55d1aa085452e3fb"), (4, "ea080a1e7a3a0352"),
-        (6, "b290edaf8d3993d9"), (15, "3987cd3a7d7f701b"), (35, "6ab44986c7a96cbc"),
-        (105, "258902bc85922137"), (210, "21bd7f8c6860f03f"), (70, "ce9c8e735eb726e6"),
+        (2, "ba384a889f37ac69", "ba384a889f37ac69"), (4, "55d1aa085452e3fb", "55d1aa085452e3fb"),
+        (4, "ea080a1e7a3a0352", "ea080a1e7a3a0352"), (6, "1adb0d2eb540a512", "33cea1a8f524445f"),
+        (15, "36ffa59d598c2d11", "2b11bcafe165a007"), (35, "1d694cb359b23523", "6e89f9c706b6f6cc"),
+        (105, "c318c294f1c24d47", "c0967e3d1071a931"), (210, "ebbed0c0772c6f7d", "6d8e261189a17b99"),
+        (70, "55ad3737b1fcda37", "c18376cc3d998518"),
     ],
     "benchmark-b-2055-prefix": [
-        (2, "4eab08369d8aba2f"), (5, "aadb33ec9459c60d"), (30, "55f7ab20ed14eac3"),
-        (60, "7945bc1aa92ae666"), (220, "ae426c4221fb32ab"), (1355, "06c316ed4f5948b8"),
-        (6600, "be39b0c7e27e42ce"), (28820, "46e9d91478e4728c"),
+        (2, "4eab08369d8aba2f", "4eab08369d8aba2f"), (5, "5d19634dc1d99054", "aadb33ec9459c60d"),
+        (30, "b0b493bf2de178f5", "f0242284f3dfa402"), (60, "fd9a02ec8a90a544", "172583e12bc8ad22"),
+        (220, "0dbb0d91ea2a31e1", "72a83edc88e051fc"), (1355, "8b7f08b9969d4163", "397df2f0d34e13e1"),
+        (6600, "3e1937b85d29761c", "60e48105f35d3cee"), (28820, "87071be65eaf122c", "914c47ce9350d359"),
     ],
     # from step 5 on, some local takes both a child fusion and a sibling
     # join of one fragment, so these digests pin the order of the two
     "benchmark-b-2071": [
-        (2, "2ef244a1828b98bf"), (7, "dc5bd98792a068a3"), (16, "8acbaa999e9c381a"),
-        (23, "9709144d9cb6825a"), (61, "d9192d76b0aa8de3"), (170, "bee6430fb0001462"),
-        (258, "c22e0f0347a5ae28"), (1984, "b5c73ac0e1617bff"), (3003, "2e1e1bca3f822c63"),
+        (2, "2ef244a1828b98bf", "2ef244a1828b98bf"), (7, "05b4b4b0884fa8bb", "dc5bd98792a068a3"),
+        (16, "4fd93f4c4b8c4b45", "8acbaa999e9c381a"), (23, "e51983a6612962b5", "5271017187171ad5"),
+        (61, "28f1668ee1ff62c6", "24d128646401375e"), (170, "23a27d8ff3f57600", "2fda2969f12bc713"),
+        (258, "5055e422044c113f", "6650fc0945888c9a"), (1984, "a7a0969682e13920", "dd8ef107419f38c3"),
+        (3003, "481480f20e7b6e30", "47ff1169c3ce3b04"),
     ],
 }
+
+
+def digest(lines):
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
 
 
 @pytest.mark.parametrize("params, seed, prefix, case",
@@ -971,9 +986,8 @@ def test_bottom_up_keeps_candidate_order_and_counts(params, seed, prefix, case):
     for ts, name in enumerate(names, start=1):
         before = engine.counter.n
         hyps = engine.step(hyps, lib.sym(name), ts)
-        listing = "\n".join(f"{h.canon} {h.weight!r}" for h in hyps)
-        steps.append((engine.counter.n - before,
-                      hashlib.sha256(listing.encode()).hexdigest()[:16]))
+        listing = [f"{h.canon} {h.weight!r}" for h in hyps]
+        steps.append((engine.counter.n - before, digest(listing), digest(sorted(listing))))
     assert steps == BOTTOM_UP_STEPS[case]
 
 
