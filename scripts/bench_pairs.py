@@ -10,9 +10,9 @@ medians, how many pairs the change won, whether a gain claim holds (at
 least 10 pairs, the change better in at least 9 of 10, the gap between the
 medians larger than the parent's quartile distance, every run on both sides
 correct, and the change's failed share of operations no higher than the
-parent's), and whether the
-change regressed: its median worse than the parent's by more than the
-metric's ``bound`` in ``BENCHMARK.json``, a fraction of the parent's median.
+parent's), and whether the change regressed: its median worse than the
+parent's by more than the metric's ``bound`` in ``BENCHMARK.json``, a
+fraction of the parent's median.
 It also prints each side's failed share, ``failed / attempted`` summed over
 its runs.
 
