@@ -21,7 +21,8 @@ the repository's ``bench/BENCH_<label>.json``, one entry per workload, so
 runs of several workloads fill one file per side. An entry holds the
 checkout's commit (None outside git, ``+dirty`` when tracked files differ
 from it), the Python version, the seeds, whether every run was correct, the
-median host-probe kernel time, and each metric's quartiles.
+median host-probe kernel time, each metric's quartiles, and the quartiles
+of each engine variant's median seconds (``variants``).
 
 Usage:
     python scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --workload b4-online \
@@ -124,14 +125,21 @@ def format_rows(rows: list[dict]) -> str:
 
 
 _KERNEL = re.compile(r"median kernel ([0-9.]+) ms")
+_VARIANTS = re.compile(r"per variant \(median s\): (.*)")
+_VARIANT = re.compile(r"([^\s,]+) ([0-9.]+)")
 
 
 def parse_run(stdout: str) -> dict:
-    """A perfbench run's JSON result, with ``kernel_ms``, the host probe's
-    median kernel time from its notes (None when it printed none), added."""
+    """A perfbench run's JSON result, with two values from its notes added:
+    ``kernel_ms``, the host probe's median kernel time (None when it printed
+    none), and ``variants``, each engine variant's median seconds (empty
+    when it printed none)."""
     result = last_json(stdout)
     match = _KERNEL.search(stdout)
     result["kernel_ms"] = float(match.group(1)) if match else None
+    match = _VARIANTS.search(stdout)
+    result["variants"] = {tag: float(seconds) for tag, seconds
+                          in _VARIANT.findall(match.group(1) if match else "")}
     return result
 
 
@@ -169,11 +177,16 @@ def bench_entry(runs: list[dict], seeds: list[int], commit: str | None) -> dict:
         q1, median, q3 = quartiles([run["metrics"][name]["value"] for run in runs])
         metrics[name] = {"unit": runs[0]["metrics"][name].get("unit", ""),
                          "q1": q1, "median": median, "q3": q3}
+    variants = {}
+    for tag in runs[0]["variants"]:
+        if all(tag in run["variants"] for run in runs):
+            q1, median, q3 = quartiles([run["variants"][tag] for run in runs])
+            variants[tag] = {"q1": q1, "median": median, "q3": q3}
     kernels = [run["kernel_ms"] for run in runs if run.get("kernel_ms") is not None]
     return {"commit": commit, "python": platform.python_version(), "seeds": seeds,
             "runs": len(runs), "correct": all(run.get("correct") for run in runs),
             "kernel_ms": round(statistics.median(kernels), 4) if kernels else None,
-            "metrics": metrics}
+            "metrics": metrics, "variants": variants}
 
 
 def write_bench(directory: Path, label: str, workload: str, entry: dict) -> Path:

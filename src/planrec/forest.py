@@ -33,7 +33,8 @@ The root is n(previous root). Nodes are hash-consed by their edge set in one
 register per record chain, and nodes without edges are dropped. Built from
 canonical children, that keeps the DAG minimal, as Daciuk et al. 2000,
 *Incremental construction of minimal acyclic finite-state automata*, keep
-theirs. Only SINK accepts, so an edge set identifies a node.
+theirs. Only SINK accepts, so an edge set identifies a node. Each node's
+edges are sorted by plan ``canon``, the order :func:`best_paths` walks.
 
 A node never gets two edges with one label, so the DAG is deterministic and
 its paths are distinct plan tuples, exactly the step's locals. A kept plan
@@ -56,21 +57,13 @@ from .trees import _WEIGHT, Hypothesis, PlanNode
 
 
 class _Node:
-    """A DAG node: its ``(plan, node)`` edges, and the same edges sorted by
-    plan ``canon``, built on first read by :func:`best_paths`."""
+    """A DAG node: its ``(plan, node)`` edges, in plan ``canon`` order (the
+    order :func:`best_paths` walks them in)."""
 
-    __slots__ = ("edges", "_by_canon")
+    __slots__ = ("edges",)
 
     def __init__(self, edges: tuple[tuple[PlanNode, "_Node"], ...]):
         self.edges = edges
-        self._by_canon = None
-
-    @property
-    def by_canon(self) -> tuple[tuple[PlanNode, "_Node"], ...]:
-        ordered = self._by_canon
-        if ordered is None:
-            ordered = self._by_canon = tuple(sorted(self.edges, key=_edge_canon))
-        return ordered
 
 
 SINK = _Node(())
@@ -79,7 +72,6 @@ _UNBUILT = object()
 
 def _edge_canon(edge: tuple[PlanNode, _Node]) -> str:
     return edge[0].canon
-
 
 
 class StepRecord:
@@ -155,7 +147,7 @@ def _renew(u: _Node, record: StepRecord, made: dict) -> _Node | None:
         key = frozenset(edges)
         node = record.register.get(key)
         if node is None:
-            node = record.register[key] = _Node(tuple(edges))
+            node = record.register[key] = _Node(tuple(sorted(edges, key=_edge_canon)))
     made[u] = node
     return node
 
@@ -270,7 +262,7 @@ def _collect(node: _Node, plans: tuple, weight: float, walk: _Walk):
             walk.ties -= 1
         return
     floor, bound, out, k = walk.floor, walk.bound, walk.out, walk.k
-    for plan, child in node.by_canon:
+    for plan, child in node.edges:
         if len(out) == k:
             return
         x = weight * plan.weight

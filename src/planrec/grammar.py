@@ -55,7 +55,6 @@ class Symbol:
     idx: int
     name: str
     terminal: bool
-    goal: bool = False
 
     @property
     def kind(self) -> str:
@@ -248,7 +247,6 @@ def build_library(
 
     symbols: list[Symbol] = []
     seen_names: set[str] = set()
-    goal_set = set(goals)
     for i, name in enumerate(goals):
         if name not in set(nonterminals):
             fail(f"goal {name!r} is not a declared nonterminal")
@@ -262,7 +260,7 @@ def build_library(
         if name in seen_names:
             fail(f"duplicate symbol name {name!r}")
         seen_names.add(name)
-        symbols.append(Symbol(len(symbols), name, terminal, goal=name in goal_set and not terminal))
+        symbols.append(Symbol(len(symbols), name, terminal))
 
     by_name = {s.name: s.idx for s in symbols}
     rules: list[Rule] = []
@@ -428,7 +426,7 @@ def validate_library(lib: PlanLibrary) -> ValidationReport:
                 )
             )
     for s in lib.symbols:
-        if s.idx not in lib.reachable and not s.goal:
+        if s.idx not in lib.reachable:
             issues.append(
                 ValidationIssue(
                     "unreachable-symbol",

@@ -162,14 +162,14 @@ class PhattEngine:
     The caches never affect results: :meth:`advance` and :meth:`step` are
     pure functions of their arguments, whatever the engine has seen before,
     given arguments built from ``nodes`` (its own results, or plans parsed
-    with ``parse_hypothesis(engine.nodes, ...)``).
+    with ``parse_hypothesis(engine.nodes, ...)``). ``counter`` counts its
+    attempts, and a :class:`~planrec.slim.SlimEngine`'s steps count on it too.
     """
 
-    def __init__(self, lib: PlanLibrary, cfg: PhattConfig | None = None,
-                 counter: CombinationCounter | None = None):
+    def __init__(self, lib: PlanLibrary, cfg: PhattConfig | None = None):
         self.lib = lib
         self.cfg = cfg or PhattConfig.for_library(lib)
-        self.counter = counter or CombinationCounter()
+        self.counter = CombinationCounter()
         self.nodes = NodeTable(lib)
         self._tree_memo: dict[tuple[int, int], tuple[LeftmostTree, ...]] = {}
         self._frontier_memo: dict[PlanNode, tuple[tuple[Path, int], ...]] = {}
@@ -265,7 +265,7 @@ class PhattEngine:
 
 def weave(hyps: Collection[Hypothesis], appends: tuple[PlanNode, ...], memo: dict,
           combine: Callable[[PlanNode], tuple[int, tuple[PlanNode, ...]]],
-          prior: float | None = None
+          prior: float = 1.0
           ) -> tuple[dict[tuple[PlanNode, ...], Hypothesis], int]:
     """Both engines' step: every hypothesis gets each plan of ``appends``
     appended, then each of its plans replaced, in turn, by every plan that
@@ -283,8 +283,8 @@ def weave(hyps: Collection[Hypothesis], appends: tuple[PlanNode, ...], memo: dic
     the engines build holds an observation). Two appends are equal only when
     they share the input hypothesis and the appended plan, and the input
     holds no duplicate. Replacements can collide, so they go through
-    :func:`_merge`. ``prior`` is the goal prior each plan carries (None for
-    SLIM's locals)."""
+    :func:`_merge`. ``prior`` is the goal prior each plan carries, 1.0 for
+    SLIM's locals."""
     out: dict[tuple[PlanNode, ...], Hypothesis] = {}
     attempts = len(hyps) * len(appends)
     for h in hyps:

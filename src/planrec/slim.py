@@ -12,9 +12,9 @@ the hypothesis by a combination of it with the observation. So a step is
 too, with the fragments as the appends. The first three do not depend on
 the rest of the hypothesis, so a step works them out once for each distinct
 plan of its input, as one flat tuple, and every hypothesis holding that plan
-replays it; the first two are one fusion loop, of the realized leaf or of a
-fragment, over the plan's enabled frontier. Local hypotheses never grow
-paths toward the goals; on demand, the top-down compiler replays their plans
+replays it. The first two are one function, :func:`combine_as_child`, since
+the realized leaf is a depth-0 fragment. Local hypotheses never grow paths
+toward the goals; on demand, the top-down compiler replays their plans
 (in creation order) through :meth:`PhattEngine.advance`, the modified-PHATT
 step that PHATT runs with a realized leaf as the target and the compiler runs
 with each plan, grafted into goal-rooted leftmost trees. The compile's levels,
@@ -138,36 +138,28 @@ def sibling_slots(nodes: NodeTable, sym: int
 # ---------------------------------------------------------------------------
 
 
-def _fuse_at_frontier(nodes: NodeTable, plan: PlanNode, node: PlanNode,
-                      counter: CombinationCounter, entries) -> list[PlanNode]:
-    """Fuse ``node`` into every open node of ``entries``, the plan's enabled
-    (path, symbol) pairs, that carries its root symbol."""
+def combine_as_child(nodes: NodeTable, plan: PlanNode, f: PlanNode,
+                     counter: CombinationCounter, entries) -> list[PlanNode]:
+    """Fuse the fragment ``f`` into every enabled open node of ``plan`` that
+    carries its root symbol; ``entries`` is :meth:`PhattEngine.frontier` of
+    the plan, its enabled (path, symbol) pairs, which a step reads once per
+    distinct plan for every combiner. The observation's realized leaf is a
+    depth-0 fragment, so :func:`combine_directly` is this function."""
     out = []
-    sym = node.symbol
+    sym = f.symbol
     for path, open_sym in entries:
         if open_sym != sym:
             continue
         counter.n += 1
-        fused = try_fuse(nodes, plan, path, node)
+        fused = try_fuse(nodes, plan, path, f)
         if fused is not None:
             out.append(fused)
     return out
 
 
-def combine_directly(nodes: NodeTable, plan: PlanNode, leaf: PlanNode,
-                     counter: CombinationCounter, entries) -> list[PlanNode]:
-    """Realize the enabled open terminal leaves of ``plan`` labeled like
-    ``leaf``, the observation's realized leaf; ``entries`` as for
-    :func:`combine_as_child`."""
-    return _fuse_at_frontier(nodes, plan, leaf, counter, entries)
-
-
-def combine_as_child(nodes: NodeTable, plan: PlanNode, f: PlanNode,
-                     counter: CombinationCounter, entries) -> list[PlanNode]:
-    """Fuse the fragment into the enabled open nodes of ``plan`` matching its
-    root symbol; ``entries`` is :meth:`PhattEngine.frontier` of the plan,
-    which a step reads once per distinct plan for every combiner."""
-    return _fuse_at_frontier(nodes, plan, f, counter, entries)
+#: Realizing an open terminal leaf, :func:`combine_as_child` of the realized
+#: leaf: the paper's name, under which the per-combiner trace counts it apart.
+combine_directly = combine_as_child
 
 
 def combine_as_sibling(nodes: NodeTable, plan: PlanNode, f: PlanNode, slots: dict,
@@ -235,16 +227,16 @@ class SlimEngine:
     """Bottom-up recognition over a sequence plus on-demand compilation.
 
     The engine builds its nodes through ``nodes``, the node table of the
-    :class:`PhattEngine` its compiler runs, so the bottom-up locals and the
-    compiled hypotheses share one table."""
+    :class:`PhattEngine` its compiler runs, and counts its attempts on that
+    engine's ``counter``, so the bottom-up locals and the compiled
+    hypotheses share one table, and the steps and compiles one count."""
 
-    def __init__(self, lib: PlanLibrary, cfg: TopDownConfig | None = None,
-                 counter: CombinationCounter | None = None):
+    def __init__(self, lib: PlanLibrary, cfg: TopDownConfig | None = None):
         self.lib = lib
         self.cfg = cfg or TopDownConfig.for_library(lib)
-        self.counter = counter or CombinationCounter()
-        self._phatt = PhattEngine(lib, self.cfg, self.counter)
+        self._phatt = PhattEngine(lib, self.cfg)
         self.nodes = self._phatt.nodes
+        self.counter = self._phatt.counter
 
     @collector_paused
     def step(self, hyps: tuple[Hypothesis, ...], obs: int, ts: int) -> tuple[Hypothesis, ...]:

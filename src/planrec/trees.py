@@ -28,7 +28,6 @@ distinct structures never share a canonical form.
 
 from __future__ import annotations
 
-import heapq
 from itertools import chain
 from operator import attrgetter
 from typing import Iterable
@@ -41,22 +40,22 @@ Path = tuple[int, ...]
 class PlanNode:
     """One node of a plan tree; a plan is represented by its root node.
 
-    Exactly one of three states holds: open frontier (``rule is None and
-    ts is None``), realized leaf (``ts`` set, terminals only), or expanded
-    (``rule`` and ``children`` set, nonterminals only). Build nodes through a
-    :class:`NodeTable` (:func:`open_node`, :func:`realized_leaf`,
-    :func:`try_expand`): equality is identity, which matches structure only
-    among the nodes of one table. ``label`` is the serialization of an open
-    node or a leaf, and the head of an expanded node's (its name, with the
-    ``#<rule>`` marker where needed); ``canon`` is built from it on first read.
-    The subtree is complete, every leaf realized, when ``open_count`` is 0.
+    Exactly one of three states holds: open frontier (``rule`` and
+    ``min_ts`` None), realized leaf (``rule`` None, ``min_ts`` its timestamp,
+    terminals only), or expanded (``rule`` and ``children`` set,
+    nonterminals only). Build nodes through a :class:`NodeTable`
+    (:func:`open_node`, :func:`realized_leaf`, :func:`try_expand`): equality
+    is identity, which matches structure only among the nodes of one table.
+    ``label`` is the serialization of an open node or a leaf, and the head
+    of an expanded node's (its name, with the ``#<rule>`` marker where
+    needed); ``canon`` is built from it on first read. The subtree is
+    complete, every leaf realized, when ``open_count`` is 0.
     """
 
     __slots__ = (
         "symbol",
         "rule",
         "children",
-        "ts",
         "min_ts",
         "max_ts",
         "weight",
@@ -66,12 +65,11 @@ class PlanNode:
         "_canon",
     )
 
-    def __init__(self, symbol, rule, children, ts, min_ts, max_ts,
+    def __init__(self, symbol, rule, children, min_ts, max_ts,
                  weight, height, open_count, label):
         self.symbol = symbol
         self.rule = rule
         self.children = children
-        self.ts = ts
         self.min_ts = min_ts
         self.max_ts = max_ts
         self.weight = weight
@@ -90,7 +88,7 @@ class PlanNode:
 
     @property
     def is_open(self) -> bool:
-        return self.rule is None and self.ts is None
+        return self.rule is None and self.min_ts is None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"PlanNode({self.canon})"
@@ -117,9 +115,9 @@ class NodeTable(dict):
         """This table's node of ``node``'s structure: ``node`` itself when the
         table built it, else a copy rebuilt from the leaves up."""
         if node.rule is None:
-            if node.ts is None:
+            if node.min_ts is None:
                 return open_node(self, node.symbol)
-            return realized_leaf(self, node.symbol, node.ts)
+            return realized_leaf(self, node.symbol, node.min_ts)
         if self.get((node.rule.idx, node.children)) is node:
             return node
         return try_expand(self, node.rule, tuple(self.adopt(c) for c in node.children))
@@ -129,7 +127,7 @@ def open_node(nodes: NodeTable, symbol: int) -> PlanNode:
     """The open-frontier node for a symbol."""
     node = nodes.get(symbol)
     if node is None:
-        node = nodes[symbol] = PlanNode(symbol, None, (), None, None, None,
+        node = nodes[symbol] = PlanNode(symbol, None, (), None, None,
                                         1.0, 0, 1, nodes.lib.name(symbol) + "?")
     return node
 
@@ -144,7 +142,7 @@ def realized_leaf(nodes: NodeTable, symbol: int, ts: int) -> PlanNode:
             raise ValueError(f"{lib.name(symbol)!r} is not a terminal")
         if ts < 1:
             raise ValueError("timestamps are 1-based observation indexes")
-        node = nodes[key] = PlanNode(symbol, None, (), ts, ts, ts,
+        node = nodes[key] = PlanNode(symbol, None, (), ts, ts,
                                      1.0, 0, 0, f"{lib.name(symbol)}@{ts}")
     return node
 
@@ -190,7 +188,7 @@ def _expanded(lib: PlanLibrary, rule: Rule, children: tuple[PlanNode, ...]) -> P
     label = lib.name(rule.lhs)
     if lib.ambiguous_rhs:
         label = f"{label}#{rule.idx}"
-    return PlanNode(rule.lhs, rule, children, None, min_ts, max_ts,
+    return PlanNode(rule.lhs, rule, children, min_ts, max_ts,
                     weight, height + 1, open_count, label)
 
 
@@ -211,7 +209,7 @@ def _visit_frontier(node: PlanNode, path: Path, out: list[tuple[Path, int]]):
     # module-level recursion: a nested recursive function would hold itself
     # in a reference cycle, garbage only the cyclic collector frees
     if node.rule is None:
-        if node.ts is None:
+        if node.min_ts is None:
             out.append((path, node.symbol))
         return
     if not node.open_count:
@@ -265,9 +263,9 @@ class Hypothesis:
     plan serializations, is built on first read, for output: written
     hypotheses are sorted by it (:func:`rank_key`), while the engines'
     rankings order by it through plan ranks (:func:`ranked`). ``weight`` is the
-    product of all rule probabilities over all plans; a goal-rooted
-    hypothesis's also carries the goal prior once per plan, and a local's
-    carries none.
+    product of all rule probabilities over all plans, times a prior once per
+    plan: the goal prior for a goal-rooted hypothesis, 1.0 for a local, which
+    leaves every product's bits as they are.
     """
 
     __slots__ = ("plans", "weight", "_canon")
@@ -285,17 +283,15 @@ class Hypothesis:
         return canon
 
     @staticmethod
-    def build(plans: tuple[PlanNode, ...], prior: float | None = None) -> "Hypothesis":
+    def build(plans: tuple[PlanNode, ...], prior: float = 1.0) -> "Hypothesis":
         """The hypothesis over ``plans``, taken in the order given, with the
-        goal ``prior`` once per plan (None for a local)."""
+        goal ``prior`` once per plan (1.0 for a local)."""
         weight = 1.0
         for plan in plans:
-            weight *= plan.weight
-            if prior is not None:
-                weight *= prior
+            weight = weight * plan.weight * prior
         return Hypothesis(plans, weight)
 
-    def with_plan(self, plan: PlanNode, prior: float | None = None) -> "Hypothesis":
+    def with_plan(self, plan: PlanNode, prior: float = 1.0) -> "Hypothesis":
         """Append ``plan``, which must hold the newest observation.
 
         One multiplication instead of :meth:`build`'s pass over every plan.
@@ -304,13 +300,11 @@ class Hypothesis:
         bit-identical to ``build(self.plans + (plan,), prior)``'s, since
         :meth:`build` multiplies in the same order, left to right from 1.0.
         Every hypothesis the engines build or :func:`parse_hypothesis` reads
-        meets it, and so does :data:`EMPTY_HYPOTHESIS`."""
-        weight = self.weight * plan.weight
-        if prior is not None:
-            weight *= prior
-        return Hypothesis(self.plans + (plan,), weight)
+        meets it, and so does :data:`EMPTY_HYPOTHESIS`. A local's prior is
+        1.0, and ``x * 1.0 == x`` exactly."""
+        return Hypothesis(self.plans + (plan,), self.weight * plan.weight * prior)
 
-    def with_replaced(self, index: int, plan: PlanNode, prior: float | None = None) -> "Hypothesis":
+    def with_replaced(self, index: int, plan: PlanNode, prior: float = 1.0) -> "Hypothesis":
         """Replace plan ``index`` with ``plan`` of the same smallest timestamp."""
         plans = self.plans[:index] + (plan,) + self.plans[index + 1:]
         return Hypothesis.build(plans, prior)
@@ -356,9 +350,9 @@ def ranked(hyps: Iterable[Hypothesis], k: int | None = None) -> list[Hypothesis]
     plans ``0..i-1`` have plans ``i`` holding the same smallest timestamp.
 
     The tie-break is a tuple of int ranks, which puts no cap on the number
-    of distinct plans. For ``k=None`` two stable sorts do the work, by the
-    rank tuples and then by weight descending, which compares floats alone;
-    a finite ``k`` takes :func:`heapq.nsmallest` of ``(-weight, ranks)``.
+    of distinct plans. Two stable sorts do the work, by the rank tuples and
+    then by weight descending, which compares floats alone; a finite ``k``
+    keeps the first ``k``.
     """
     hyps = list(hyps)
     plans = set(chain.from_iterable(map(_PLANS, hyps)))
@@ -368,11 +362,9 @@ def ranked(hyps: Iterable[Hypothesis], k: int | None = None) -> list[Hypothesis]
     def ranks(h: Hypothesis) -> tuple[int, ...]:
         return tuple(map(get, h.plans))
 
-    if k is None:
-        hyps.sort(key=ranks)
-        hyps.sort(key=_WEIGHT, reverse=True)
-        return hyps
-    return heapq.nsmallest(k, hyps, key=lambda h: (-h.weight, ranks(h)))
+    hyps.sort(key=ranks)
+    hyps.sort(key=_WEIGHT, reverse=True)
+    return hyps if k is None else hyps[:k]
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +382,7 @@ def parse_plan(nodes: NodeTable, text: str) -> PlanNode:
     return node
 
 
-def parse_hypothesis(nodes: NodeTable, text: str, prior: float | None = None) -> Hypothesis:
+def parse_hypothesis(nodes: NodeTable, text: str, prior: float = 1.0) -> Hypothesis:
     """Parse a ``;``-joined hypothesis serialization, its plans in any order;
     they are sorted by (smallest realized timestamp, canonical form),
     unrealized plans last, the order the engines build."""

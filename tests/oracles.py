@@ -136,8 +136,8 @@ def from_plan_node(node):
     if node.rule is not None:
         return ("exp", node.symbol, node.rule.idx,
                 tuple(from_plan_node(c) for c in node.children))
-    if node.ts is not None:
-        return ("leaf", node.symbol, node.ts)
+    if node.min_ts is not None:
+        return ("leaf", node.symbol, node.min_ts)
     return ("open", node.symbol)
 
 
@@ -188,10 +188,10 @@ def verify_hypothesis(lib, h, n_obs, obs_syms=None, priors=None):
     def recompute(node):
         # returns (complete, min_ts, max_ts, weight, height, opens)
         if node.rule is None:
-            if node.ts is None:
+            if node.min_ts is None:
                 return (False, None, None, 1.0, 0, 1)
-            stamps.append((node.ts, node.symbol))
-            return (True, node.ts, node.ts, 1.0, 0, 0)
+            stamps.append((node.min_ts, node.symbol))
+            return (True, node.min_ts, node.min_ts, 1.0, 0, 0)
         stats = [recompute(c) for c in node.children]
         for i, j in closure_of(node.rule):
             comp_i, max_i = stats[i][0], stats[i][2]

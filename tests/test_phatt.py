@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 
 from planrec.domains import generate_domain, simulate_agent
 from planrec.grammar import parse_library
-from planrec.metrics import CombinationCounter
 from planrec.phatt import (
     HypothesisSet,
     PhattConfig,
@@ -275,9 +274,9 @@ def test_step_counts_every_attempt(lib, case, attempts, kept):
     else:
         lib = generate_domain(BENCH_A)
         names = simulate_agent(lib, 1000)
-    counter = CombinationCounter()
-    hyps, _ = drive_engine(PhattEngine(lib, counter=counter), names)
-    assert (counter.n, len(hyps)) == (attempts, kept)
+    engine = PhattEngine(lib)
+    hyps, _ = drive_engine(engine, names)
+    assert (engine.counter.n, len(hyps)) == (attempts, kept)
 
 
 def test_recognize_returns_metrics(lib):

@@ -178,7 +178,8 @@ def check_bench_file(path):
     assert path.name == f"BENCH_{record['label']}.json"
     assert record["workloads"]
     for entry in record["workloads"].values():
-        assert set(entry) == BENCH_ENTRY_KEYS
+        # files written before per-variant medians were recorded lack them
+        assert set(entry) - {"variants"} == BENCH_ENTRY_KEYS
         assert entry["commit"] is None or isinstance(entry["commit"], str)
         assert entry["runs"] == len(entry["seeds"]) > 0
         assert all(isinstance(seed, int) for seed in entry["seeds"])
@@ -188,20 +189,31 @@ def check_bench_file(path):
         for stats in entry["metrics"].values():
             assert set(stats) == {"unit", "q1", "median", "q3"}
             assert stats["q1"] <= stats["median"] <= stats["q3"]
+        for stats in entry.get("variants", {}).values():
+            assert set(stats) == {"q1", "median", "q3"}
+            assert 0 <= stats["q1"] <= stats["median"] <= stats["q3"]
     return record
 
 
 def test_bench_pairs_writes_one_file_per_side(tmp_path):
     pairs = load_script("bench_pairs.py")
     stdout = [perfbench_stdout(slim_bu_s=bu, rss=rss).replace(
-        "  slim_td_s ...", f"  host speed: 90 probe samples, median kernel {kernel} ms")
-        for bu, rss, kernel in [(0.7, 180, 0.61), (0.5, 170, 0.55), (0.6, 190, 0.58)]]
+        "  slim_td_s ...", f"  host speed: 90 probe samples, median kernel {kernel} ms\n"
+        f"  per variant (median s): phatt {phatt:.3f}, slim-0 {bu:.3f}, slim-all 1.250")
+        for bu, rss, kernel, phatt in [(0.7, 180, 0.61, 0.2), (0.5, 170, 0.55, 0.3),
+                                       (0.6, 190, 0.58, 0.1)]]
     runs = [pairs.parse_run(text) for text in stdout]
     assert [run["kernel_ms"] for run in runs] == [0.61, 0.55, 0.58]
-    assert pairs.parse_run(perfbench_stdout(slim_bu_s=1.0))["kernel_ms"] is None
+    assert runs[0]["variants"] == {"phatt": 0.2, "slim-0": 0.7, "slim-all": 1.25}
+    bare = pairs.parse_run(perfbench_stdout(slim_bu_s=1.0))
+    assert (bare["kernel_ms"], bare["variants"]) == (None, {})
     entry = pairs.bench_entry(runs, [5, 6, 7], "abc1234")
     assert entry["metrics"]["slim_bu_s"] == \
         {"unit": "s", "q1": pytest.approx(0.55), "median": 0.6, "q3": pytest.approx(0.65)}
+    assert entry["variants"] == {
+        "phatt": {"q1": pytest.approx(0.15), "median": 0.2, "q3": pytest.approx(0.25)},
+        "slim-0": {"q1": pytest.approx(0.55), "median": 0.6, "q3": pytest.approx(0.65)},
+        "slim-all": {"q1": 1.25, "median": 1.25, "q3": 1.25}}
     assert (entry["seeds"], entry["runs"], entry["correct"], entry["kernel_ms"]) == \
         ([5, 6, 7], 3, True, 0.58)
     # a second workload joins the first in the same file

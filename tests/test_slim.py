@@ -1,4 +1,5 @@
 import hashlib
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -67,7 +68,7 @@ def test_terminal_fragment_for_first_action(lib, nodes):
     assert [f.canon for f in frags] == ["A(a@1)"]
     # a depth-1 node of rule A -> a, attached at position 0, created at step 1
     assert frags[0].rule is lib.rules_for(lib.sym("A"))[0] and frags[0].height == 1
-    assert [i for i, c in enumerate(frags[0].children) if c.ts is not None] == [0]
+    assert [i for i, c in enumerate(frags[0].children) if c.min_ts is not None] == [0]
     assert frags[0].min_ts == 1
 
 
@@ -167,6 +168,31 @@ def test_combine_as_child_symbol_mismatch(lib, nodes):
     # enabled opens are A and C; only C matches and accepts the fragment
     out = combine_as_child(nodes, plan, frag, CombinationCounter(), enabled_frontier(plan))
     assert canons(out) == {"X(A? B? C(c@1))"}
+
+
+def test_trace_keeps_each_name_of_the_fusion_combiner(lib, monkeypatch):
+    # combine_directly is combine_as_child under a second name; the
+    # benchmark's tracer patches each name on its own, so the step's calls
+    # under each name are counted apart, and uninstalling restores both
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import tracing
+
+    import planrec
+    from planrec import slim
+
+    assert slim.combine_directly is slim.combine_as_child is combine_as_child
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert slim.combine_directly is not slim.combine_as_child
+        drive_engine(SlimEngine(lib), ["a", "c", "b"])
+    finally:
+        tracer.uninstall()
+    names = ("combine_directly", "combine_as_child")
+    assert [tracer.calls[f"slim.{name}"][0] for name in names] == [4, 4]
+    assert [tracer.counts.get(f"slim.{name}.out", 0) for name in names] == [0, 1]
+    for module in (slim, planrec):
+        assert module.combine_directly is module.combine_as_child is combine_as_child
 
 
 def test_combine_as_sibling_fig_example(lib, nodes):

@@ -118,7 +118,7 @@ def test_check_temporal_consistency(lib, nodes):
     bad = PlanNode(
         lib.sym("X"), x_rule(lib),
         (open_node(nodes, lib.sym("A")), build(nodes, "B(b@1)"), open_node(nodes, lib.sym("C"))),
-        None, 1, 1, 1.0, 2, 2, "X",
+        1, 1, 1.0, 2, 2, "X",
     )
     assert bad.canon == "X(A? B(b@1) C?)"
     assert not consistent(lib, from_plan_node(bad))
@@ -198,14 +198,14 @@ def test_empty_hypothesis():
 
 def weighted_plan(weight):
     # a bare plan whose weight is all with_plan and build read
-    return PlanNode(0, None, (), 1, 1, 1, weight, 0, 0, "a@1")
+    return PlanNode(0, None, (), 1, 1, weight, 0, 0, "a@1")
 
 
 WEIGHTS = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
 
 @given(st.lists(WEIGHTS, max_size=4), st.lists(WEIGHTS, min_size=1, max_size=12),
-       st.none() | st.floats(min_value=1e-6, max_value=1.0))
+       st.just(1.0) | st.floats(min_value=1e-6, max_value=1.0))
 def test_with_plan_weight_is_bit_identical_to_build(start, chain, prior):
     # with_plan multiplies once; from a hypothesis whose weight build gave
     # (the empty one or any built one), every append in a chain carries
