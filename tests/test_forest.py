@@ -85,11 +85,12 @@ def compiled(engine, hyps):
 
 @st.composite
 def libraries(draw, mixed=False):
-    """A small acyclic library whose rules' RHS are all terminals or all
-    nonterminals: 3 terminals, 2 to 4 nonterminals, each the head of 1 or 2
-    rules of width 1 to 3, 40% of the wider ones ordered. With ``mixed``,
-    each RHS symbol is drawn from all symbols instead, so a RHS may mix
-    terminals and nonterminals and name its own head or an earlier one."""
+    """A small library: 3 terminals, 2 to 4 nonterminals, each the head of 1
+    or 2 rules of width 1 to 3, 40% of the wider ones ordered. Each RHS is
+    all terminals or all nonterminals named after its head, so the library
+    is acyclic; with ``mixed``, each RHS symbol is drawn from all symbols, so
+    a RHS may mix terminals and nonterminals and name its own head or an
+    earlier one."""
     n = draw(st.integers(2, 4))
     names = [f"N{i}" for i in range(n)]
     lines = ["terminals: a b c", f"nonterminals: {' '.join(names)}",
