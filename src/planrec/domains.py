@@ -7,6 +7,11 @@ probabilities. Nodes at distance ``depth`` from a goal are terminals drawn
 (with reuse) from a fixed pool. AND rules receive a total order with
 probability ``ordered_fraction``, independently per rule.
 
+A simulated agent samples a goal and a complete plan for it, then executes
+the plan the way PHATT models execution: each next action is drawn from the
+plan's :func:`~planrec.trees.enabled_frontier`, the same set of enabled
+actions the recognizers extend, built from the same hash-consed nodes.
+
 All randomness flows through ``random.Random`` (MT19937), so equal seeds
 reproduce libraries and observation sequences bit-for-bit anywhere.
 """
@@ -17,6 +22,8 @@ import random
 from dataclasses import dataclass
 
 from .grammar import LibraryError, PlanLibrary, build_library
+from .trees import (NodeTable, PlanNode, enabled_frontier, open_node, realized_leaf,
+                    try_expand, try_fuse)
 
 
 @dataclass(frozen=True)
@@ -99,45 +106,35 @@ def generate_domain(params: DomainParams) -> PlanLibrary:
 
 
 def simulate_agent(lib: PlanLibrary, seed: int) -> list[str]:
-    """Sample one goal, one complete plan for it, and one linear extension
-    of the plan's ordering constraints; returns terminal names in order.
-    Raises :class:`LibraryError` when a sampled nonterminal has no rules or
-    the plan outgrows an expansion budget (a heavily recursive library)."""
+    """Sample one goal and one complete plan for it, then execute the plan:
+    each action is drawn uniformly from the plan's
+    :func:`~planrec.trees.enabled_frontier`, the open leaves whose ordering
+    predecessors are all done, and realized at the next timestamp. Returns
+    the terminal names in execution order, one linear extension of the
+    plan's ordering constraints. Raises :class:`LibraryError` when a sampled
+    nonterminal has no rules or the plan outgrows an expansion budget (a
+    heavily recursive library)."""
     rng = random.Random(seed)
+    nodes = NodeTable(lib)
     goal = lib.goals[rng.randrange(len(lib.goals))]
-    tree = _sample_tree(lib, goal, rng, budget=8 * max(1, len(lib.nonterminals)))
+    plan = _sample_plan(nodes, goal, rng, [8 * max(1, len(lib.nonterminals))])
     sequence: list[str] = []
-    pending = _leaves(tree)
-    emitted: set[int] = set()
-    while pending:
-        enabled = [leaf for leaf in pending if _leaf_enabled(tree, leaf, emitted)]
-        pick = enabled[rng.randrange(len(enabled))]
-        sequence.append(lib.name(pick[0]))
-        emitted.add(pick[1])
-        pending.remove(pick)
+    while plan.open_count:
+        entries = enabled_frontier(plan)
+        path, sym = entries[rng.randrange(len(entries))]
+        sequence.append(lib.name(sym))
+        plan = try_fuse(nodes, plan, path, realized_leaf(nodes, sym, len(sequence)))
     return sequence
 
 
-class _SimNode:
-    __slots__ = ("sym", "rule", "children", "leaf_ids")
-
-    def __init__(self, sym, rule, children, leaf_ids):
-        self.sym = sym
-        self.rule = rule
-        self.children = children
-        self.leaf_ids = leaf_ids  # frozenset of leaf identifiers in the subtree
-
-
-def _sample_tree(lib: PlanLibrary, sym: int, rng: random.Random, budget: int,
-                 _counter: list[int] | None = None) -> _SimNode:
-    if _counter is None:
-        _counter = [0, 0]  # (expansions, leaf ids)
+def _sample_plan(nodes: NodeTable, sym: int, rng: random.Random, budget: list[int]) -> PlanNode:
+    """A complete plan for ``sym`` with every leaf open, its rules drawn by
+    probability in pre-order; ``budget[0]`` counts the expansions left."""
+    lib = nodes.lib
     if lib.is_terminal(sym):
-        leaf_id = _counter[1]
-        _counter[1] += 1
-        return _SimNode(sym, None, (), frozenset([leaf_id]))
-    _counter[0] += 1
-    if _counter[0] > budget:
+        return open_node(nodes, sym)
+    budget[0] -= 1
+    if budget[0] < 0:
         raise LibraryError("plan sampling exceeded expansion budget "
                            "(is the library heavily recursive?)")
     rules = lib.rules_for(sym)
@@ -151,43 +148,8 @@ def _sample_tree(lib: PlanLibrary, sym: int, rng: random.Random, budget: int,
         if r < acc:
             chosen = rule
             break
-    children = tuple(_sample_tree(lib, s, rng, budget, _counter) for s in chosen.rhs)
-    ids = frozenset().union(*(c.leaf_ids for c in children))
-    return _SimNode(sym, chosen, children, ids)
-
-
-def _leaves(tree: _SimNode) -> list[tuple[int, int]]:
-    out: list[tuple[int, int]] = []
-
-    def collect(node: _SimNode):
-        if node.rule is None:
-            (leaf_id,) = node.leaf_ids
-            out.append((node.sym, leaf_id))
-            return
-        for child in node.children:
-            collect(child)
-
-    collect(tree)
-    return out
-
-
-def _leaf_enabled(tree: _SimNode, leaf: tuple[int, int], emitted: set[int]) -> bool:
-    """A leaf may be executed next iff, at every ancestor rule, every
-    position ordered before the leaf's branch is fully emitted."""
-    leaf_id = leaf[1]
-
-    def enabled(node: _SimNode) -> bool:
-        if node.rule is None:
-            return True
-        for j, child in enumerate(node.children):
-            if leaf_id in child.leaf_ids:
-                for i in node.rule.preds[j]:
-                    if not node.children[i].leaf_ids <= emitted:
-                        return False
-                return enabled(child)
-        raise AssertionError("leaf not under node")
-
-    return enabled(tree)
+    # open children satisfy every ordering constraint, so this never fails
+    return try_expand(nodes, chosen, tuple(_sample_plan(nodes, s, rng, budget) for s in chosen.rhs))
 
 
 def library_stats(lib: PlanLibrary) -> DomainStats:

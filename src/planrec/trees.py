@@ -402,19 +402,15 @@ def _parse_node(nodes: NodeTable, text: str) -> tuple[PlanNode, str]:
     name, rest = m
     rule_idx = None
     if rest.startswith("#"):
-        end = 1
-        while end < len(rest) and rest[end].isdigit():
-            end += 1
-        rule_idx = int(rest[1:end])
-        rest = rest[end:]
+        rule_idx, rest = _number(rest, "a rule index after '#'")
+        if not rest.startswith("("):
+            raise ValueError(f"rule marker on a node that is not expanded at {text[:30]!r}")
     sym = lib.sym(name)
     if rest.startswith("?"):
         return open_node(nodes, sym), rest[1:]
     if rest.startswith("@"):
-        end = 1
-        while end < len(rest) and rest[end].isdigit():
-            end += 1
-        return realized_leaf(nodes, sym, int(rest[1:end])), rest[end:]
+        ts, rest = _number(rest, "a timestamp after '@'")
+        return realized_leaf(nodes, sym, ts), rest
     if rest.startswith("("):
         children = []
         rest = rest[1:]
@@ -445,8 +441,20 @@ def _NAME_SPLIT(text: str) -> tuple[str, str] | None:
     return text[:i], text[i:]
 
 
+def _number(text: str, what: str) -> tuple[int, str]:
+    """The decimal digits after ``text``'s one-character marker, and the rest."""
+    end = 1
+    while end < len(text) and "0" <= text[end] <= "9":
+        end += 1
+    if end == 1:
+        raise ValueError(f"expected {what} at {text[:30]!r}")
+    return int(text[1:end]), text[end:]
+
+
 def _find_rule(lib: PlanLibrary, lhs: int, rhs: tuple[int, ...], rule_idx: int | None) -> Rule:
     if rule_idx is not None:
+        if rule_idx >= len(lib.rules):
+            raise ValueError(f"rule #{rule_idx} is not in the library")
         rule = lib.rules[rule_idx]
         if rule.lhs != lhs or rule.rhs != rhs:
             raise ValueError(f"rule #{rule_idx} does not match serialized node")

@@ -1,15 +1,43 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from planrec.domains import DomainParams, DomainStats, generate_domain, library_stats, simulate_agent
-from planrec.grammar import parse_library, serialize_library, validate_library
+from planrec.grammar import LibraryError, parse_library, serialize_library, validate_library
 from planrec.phatt import PhattEngine, HypothesisSet
 from planrec.slim import SlimEngine
 from planrec.trees import EMPTY_HYPOTHESIS
 
+from conftest import SUITE
+from oracles import complete_plans, linear_extensions
+from test_acceptance import BENCH_A, BENCH_A_INSTANCE_SEEDS, BENCH_B, BENCH_B_INSTANCE_SEEDS
+
 
 SMALL = DomainParams(num_goals=2, and_branch=2, or_branch=2, depth=2,
                      num_terminals=6, ordered_fraction=1.0, seed=3)
+
+# two goals; X's rule orders its second child before its first
+BACKWARD = """
+terminals: a b c d
+nonterminals: X Y A B
+goals: X Y
+rule: X -> A B c | (2,1) | 1.0
+rule: Y -> B d A | (1,3) | 0.5
+rule: Y -> d | | 0.5
+rule: A -> a b | | 0.7
+rule: A -> a | | 0.3
+rule: B -> b | | 1.0
+"""
+
+RECURSIVE = """
+terminals: a c
+nonterminals: G N
+goals: G
+rule: G -> N c | | 1.0
+rule: N -> N a | | 0.5
+rule: N -> a | | 0.5
+"""
 
 
 def test_params_validation():
@@ -173,3 +201,39 @@ def test_simulation_rejects_rule_less_nonterminal():
     lib = parse_library("terminals: a\nnonterminals: X\ngoals: X\n")
     with pytest.raises(ValueError):
         simulate_agent(lib, 0)
+
+
+@pytest.mark.parametrize("text", [SUITE[name] for name in sorted(SUITE)] + [BACKWARD],
+                         ids=sorted(SUITE) + ["backward"])
+def test_simulated_sequences_are_oracle_linear_extensions(text):
+    # the oracle enumerates every complete plan and every emission order its
+    # constraint closures allow, sharing no code with the simulator; 200
+    # seeds draw each of them on these small libraries
+    lib = parse_library(text)
+    legal = {seq for goal in lib.goals for plan in complete_plans(lib, goal)
+             for seq in linear_extensions(lib, plan)}
+    seen = {tuple(simulate_agent(lib, seed)) for seed in range(200)}
+    assert seen == legal
+
+
+def test_simulation_stops_at_the_expansion_budget():
+    lib = parse_library(RECURSIVE)
+    # seed 149 draws N's recursive rule more often than the budget of
+    # 8 expansions per nonterminal allows
+    with pytest.raises(LibraryError, match="expansion budget"):
+        simulate_agent(lib, 149)
+    seq = simulate_agent(lib, 0)
+    assert sorted(seq) == ["a"] * (len(seq) - 1) + ["c"]
+
+
+@pytest.mark.parametrize("params, seeds, digest", [
+    (BENCH_A, BENCH_A_INSTANCE_SEEDS, "ccd83c09f7bd473d"),
+    (BENCH_B, BENCH_B_INSTANCE_SEEDS, "dbe86d358cb9a909"),
+], ids=["benchmark-a", "benchmark-b"])
+def test_benchmark_inputs_are_pinned(params, seeds, digest):
+    # the serialized library and the simulated observation sequences every
+    # benchmark run and acceptance test starts from
+    lib = generate_domain(params)
+    text = serialize_library(lib) + "".join(" ".join(simulate_agent(lib, seed)) + "\n"
+                                            for seed in seeds)
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest

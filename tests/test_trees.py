@@ -38,6 +38,22 @@ def test_parse_plan_round_trips(nodes):
         assert build(nodes, text).canon == text
 
 
+@pytest.mark.parametrize("text, fault", [
+    ("X#99(A? B? C?)", "#99"),
+    ("X#-1(A? B? C?)", "#-1"),
+    ("X#(A? B? C?)", "#("),
+    ("a#3@1", "a#3@1"),
+    ("a#0?", "a#0?"),
+    ("a@", "@"),
+    ("a@x", "@x"),
+    ("X(A(a@) B? C?)", "@)"),
+])
+def test_parse_plan_names_a_bad_marker_or_timestamp(nodes, text, fault):
+    with pytest.raises(ValueError) as raised:
+        parse_plan(nodes, text)
+    assert fault in str(raised.value)
+
+
 def test_node_states_and_caches(nodes):
     plan = build(nodes, "X(A(a@1) B? C(c@2))")
     assert plan.min_ts == 1 and plan.max_ts == 2
