@@ -10,7 +10,7 @@ probability ``ordered_fraction``, independently per rule.
 A simulated agent samples a goal and a complete plan for it, then executes
 the plan the way PHATT models execution: each next action is drawn from the
 plan's :func:`~planrec.trees.enabled_frontier`, the same set of enabled
-actions the recognizers extend, built from the same hash-consed nodes.
+actions the recognizers extend.
 
 All randomness flows through ``random.Random`` (MT19937), so equal seeds
 reproduce libraries and observation sequences bit-for-bit anywhere.
@@ -149,7 +149,8 @@ def _sample_plan(nodes: NodeTable, sym: int, rng: random.Random, budget: list[in
             chosen = rule
             break
     # open children satisfy every ordering constraint, so this never fails
-    return try_expand(nodes, chosen, tuple(_sample_plan(nodes, s, rng, budget) for s in chosen.rhs))
+    children = tuple(_sample_plan(nodes, s, rng, budget) for s in chosen.rhs)
+    return try_expand(nodes, chosen, children)
 
 
 def library_stats(lib: PlanLibrary) -> DomainStats:
