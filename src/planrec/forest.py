@@ -29,12 +29,8 @@ step t's has, for each node u, a node n(u) with these edges:
   the rest of the local as it was;
 - n(u) -f-> SINK for each fragment f, when u is SINK: f appended.
 
-The root is n(previous root). Nodes are hash-consed by their edge set in one
-register per record chain, and nodes without edges are dropped. Built from
-canonical children, that keeps the DAG minimal, as Daciuk et al. 2000,
-*Incremental construction of minimal acyclic finite-state automata*, keep
-theirs. Only SINK accepts, so an edge set identifies a node. Each node's
-edges are sorted by plan ``canon``, the order :func:`best_paths` walks.
+The root is n(previous root). A node left without edges is dropped, and each
+node's edges are sorted by plan ``canon``, the order :func:`best_paths` walks.
 
 A node never gets two edges with one label, so the DAG is deterministic and
 its paths are distinct plan tuples, exactly the step's locals. A kept plan
@@ -46,6 +42,15 @@ realized leaf beside older ones, a fragment fused into an open node, or a
 fragment joined under a new parent) and with it the plan c came from. The
 build checks this anyway, as the steps check equal plan tuples for equal
 weights.
+
+Each node of a step is n(u) of one old node u. After a step with a fragment
+none is dropped, and n keeps path sets apart: taking the newest observation
+out of the paths of n(u) (dropping the appended fragment, or mapping the
+combination back to its one plan) gives exactly the paths of u, and no old
+node's paths hold it, so a minimal DAG stays minimal. A step with no fragment can drop dead paths and leave two
+nodes with one path set. The DAG then still holds exactly the locals,
+deterministically, and :func:`best_paths` and the compile's walk
+(``slim._compile_paths``) need no more.
 
 :func:`best_paths` is the exact top-k over the DAG that
 :func:`~planrec.slim.k_best` reads for a closed set.
@@ -78,22 +83,16 @@ class StepRecord:
     """What one bottom-up step computed, for the DAG: the previous step's
     record, the step's fragments and its :func:`~planrec.phatt.weave` memo
     from each input plan to ``(attempts, plans)``, ``plans`` the flat tuple
-    of the plan's combinations (empty when it has none). ``register`` is the
-    record chain's hash-consing table and ``root`` the step's DAG, once
-    built."""
+    of the plan's combinations (empty when it has none), and ``root`` the
+    step's DAG, once built."""
 
-    __slots__ = ("prev", "fragments", "memo", "register", "root")
+    __slots__ = ("prev", "fragments", "memo", "root")
 
     def __init__(self, prev: "StepRecord | None", fragments: tuple[PlanNode, ...], memo: dict):
         self.prev = prev
         self.fragments = fragments
         self.memo = memo
-        if prev is None:  # the chain's start: the empty hypothesis
-            self.register = {frozenset(): SINK}
-            self.root = SINK
-        else:
-            self.register = prev.register
-            self.root = _UNBUILT
+        self.root = SINK if prev is None else _UNBUILT  # None: the empty hypothesis
 
 
 class LocalSet(tuple):
@@ -144,10 +143,7 @@ def _renew(u: _Node, record: StepRecord, made: dict) -> _Node | None:
     if edges:
         if len({plan for plan, _ in edges}) < len(edges):
             raise AssertionError("a plan DAG node got two edges with one label")
-        key = frozenset(edges)
-        node = record.register.get(key)
-        if node is None:
-            node = record.register[key] = _Node(tuple(sorted(edges, key=_edge_canon)))
+        node = _Node(tuple(sorted(edges, key=_edge_canon)))
     made[u] = node
     return node
 

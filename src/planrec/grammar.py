@@ -77,7 +77,6 @@ class Rule:
     prob: float
     closure: frozenset[tuple[int, int]]
     preds: tuple[tuple[int, ...], ...]
-    free_positions: tuple[int, ...]  # positions with no ordering predecessor
 
     def __str__(self) -> str:  # pragma: no cover - debugging aid
         return f"rule#{self.idx}"
@@ -296,10 +295,7 @@ def build_library(
         if key in seen_rules:
             fail(f"duplicate rule for {lhs_name!r}", ri)
         seen_rules.add(key)
-        free = tuple(p for p in range(width) if not preds[p])
-        rules.append(
-            Rule(ri, lhs, tuple(rhs), frozenset(zero_based), prob, closure, preds, free)
-        )
+        rules.append(Rule(ri, lhs, tuple(rhs), frozenset(zero_based), prob, closure, preds))
 
     sums: dict[int, float] = {}
     for rule in rules:

@@ -127,8 +127,12 @@ def _trees_from(nodes: NodeTable, sym: int, target: int, budget: int) -> list[Le
         res.append(LeftmostTree(open_node(nodes, sym), ()))
     if budget > 0 and not lib.is_terminal(sym):
         for rule in lib.rules_for(sym):
-            for pos in rule.free_positions:
-                for sub in _trees_from(nodes, rule.rhs[pos], target, budget - 1):
+            for pos, child in enumerate(rule.rhs):
+                # a leftmost tree goes down positions with no ordering
+                # predecessor, and a terminal other than the target yields none
+                if rule.preds[pos] or (child != target and lib.is_terminal(child)):
+                    continue
+                for sub in _trees_from(nodes, child, target, budget - 1):
                     children = tuple(
                         sub.root if i == pos else open_node(nodes, s)
                         for i, s in enumerate(rule.rhs)

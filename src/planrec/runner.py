@@ -73,9 +73,10 @@ def algorithm_tag(algorithm: str, k: int | None) -> str:
 def run_recognition(library_path: str | Path, obs_path: str | Path, algorithm: str,
                     k: int | str | None = 0, max_depth: int | None = None,
                     emit_path: str | Path | None = None,
-                    csv_path: str | Path | None = None, instance: str | None = None,
+                    csv_path: str | Path | None = None,
                     step_hook: StepHook | None = None) -> RunRecord:
-    """Run one engine over one observation file, recording per-step metrics.
+    """Run one engine over one observation file, recording per-step metrics
+    under the file's stem as the instance name.
 
     Raises the engine's :class:`RecognitionFailure` when some observation
     cannot be explained, and an :class:`ObservationError` naming
@@ -84,9 +85,8 @@ def run_recognition(library_path: str | Path, obs_path: str | Path, algorithm: s
     """
     lib = load_library(library_path)
     obs = read_observations(obs_path)
-    instance = instance or Path(obs_path).stem
     records, failure = _run(lib, obs, algorithm, [parse_k(k)], max_depth,
-                            instance, step_hook, emit_path)
+                            Path(obs_path).stem, step_hook, emit_path)
     if csv_path is not None:
         write_metrics_csv(records, csv_path)
     if isinstance(failure, ObservationError):

@@ -409,8 +409,10 @@ def _parse_node(nodes: NodeTable, text: str) -> tuple[PlanNode, str]:
     if rest.startswith("?"):
         return open_node(nodes, sym), rest[1:]
     if rest.startswith("@"):
-        ts, rest = _number(rest, "a timestamp after '@'")
-        return realized_leaf(nodes, sym, ts), rest
+        ts, after = _number(rest, "a timestamp after '@'")
+        if ts < 1:
+            raise ValueError(f"timestamps are 1-based observation indexes at {rest[:30]!r}")
+        return realized_leaf(nodes, sym, ts), after
     if rest.startswith("("):
         children = []
         rest = rest[1:]

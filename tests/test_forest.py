@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from planrec.domains import generate_domain, simulate_agent
-from planrec.forest import SINK, LocalSet
+from planrec.forest import SINK, LocalSet, _topological
 from planrec.grammar import LibraryError, parse_library
 from planrec.phatt import RecognitionFailure
 from planrec.slim import SlimEngine, TopDownConfig, _split_skip_sound, k_best
@@ -53,6 +53,27 @@ def dag_size(root):
                 seen.add(child)
                 stack.append(child)
     return len(seen), edges
+
+
+def merges(root):
+    """How many reachable nodes hash-consing by edge set would merge into an
+    earlier one, children first: the register the DAG build once kept."""
+    register, canonical = {}, {}
+    merged = 0
+    for node in reversed(_topological(root)):
+        key = frozenset((plan, canonical[child]) for plan, child in node.edges)
+        canonical[node] = register.setdefault(key, node)
+        merged += canonical[node] is not node
+    return merged
+
+
+def every_step_has_a_fragment(hyps):
+    record = hyps.record
+    while record.prev is not None:
+        if not record.fragments:
+            return False
+        record = record.prev
+    return True
 
 
 def split_of(local):
@@ -134,6 +155,8 @@ def test_dag_equals_the_locals_on_random_libraries(lib, seed):
         assert isinstance(hyps, LocalSet)
         paths = dag_paths(hyps.dag())
         assert len(paths) == len(hyps) and set(paths) == {h.plans for h in hyps}
+        if every_step_has_a_fragment(hyps):  # the module docstring's injectivity
+            assert merges(hyps.dag()) == 0
         if guard:  # the closure the walk's height-1 restriction relies on
             joined = [h for h in hyps if any(p.height > 1 for p in h.plans)]
             assert {split_of(h) for h in joined} <= set(paths)
@@ -165,6 +188,8 @@ def test_dag_equals_the_locals_on_mixed_and_recursive_libraries(lib, seed):
             return
         paths = dag_paths(hyps.dag())
         assert len(paths) == len(hyps) and set(paths) == {h.plans for h in hyps}
+        if every_step_has_a_fragment(hyps):  # the module docstring's injectivity
+            assert merges(hyps.dag()) == 0
         for k in {1, 2, 3, len(hyps) // 2, len(hyps) - 1, len(hyps) + 1}:
             assert listing(k_best(hyps, k)) == listing(ranked(list(hyps), k)), (ts, k)
 

@@ -35,7 +35,6 @@ def test_parse_running_example(lib):
     assert x_rules[0].constraints == frozenset({(0, 1)})
     assert x_rules[0].closure == frozenset({(0, 1)})
     assert x_rules[0].preds == ((), (0,), ())
-    assert x_rules[0].free_positions == (0, 2)
 
 
 def test_parse_comments_and_blank_lines(lib):

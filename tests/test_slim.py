@@ -4,9 +4,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from planrec import trees
+from planrec import slim, trees
 from planrec.domains import DomainParams, generate_domain, simulate_agent
-from planrec.grammar import parse_library
+from planrec.grammar import LibraryError, parse_library
 from planrec.metrics import CombinationCounter, drive
 from planrec.phatt import PhattConfig, PhattEngine, RecognitionFailure
 from planrec.runner import _run
@@ -38,11 +38,14 @@ from conftest import SUITE, drive_engine
 from oracles import (
     all_agent_prefixes,
     append_problems,
+    forest_canon,
     reachable_symbols,
     slim_oracle_run,
+    slim_oracle_step,
     verify_hypothesis,
 )
 from test_acceptance import BENCH_A, BENCH_B
+from test_forest import libraries
 
 
 def bottom_up(lib, names):
@@ -337,6 +340,61 @@ def test_bottom_up_matches_naive_oracle(suite_lib):
     lib = suite_lib
     for names in all_agent_prefixes(lib, 4):
         assert canons(bottom_up(lib, list(names))) == slim_oracle_run(lib, list(names))
+
+
+def test_bottom_up_matches_naive_oracle_on_random_libraries(monkeypatch):
+    # random acyclic libraries draw every terminal RHS from three names, so a
+    # terminal occurs in several rules and most observations get two or more
+    # fragments, which the SUITE libraries never give; the counts check that
+    # every combiner yields over the examples and that appends happen
+    counts = dict.fromkeys(["combine_directly", "combine_as_child", "combine_as_sibling",
+                            "appends", "two fragments"], 0)
+
+    def counted(name, combine):
+        def wrapper(*args):
+            found = combine(*args)
+            counts[name] += len(found)
+            return found
+        return wrapper
+
+    for name in ("combine_directly", "combine_as_child", "combine_as_sibling"):
+        monkeypatch.setattr(slim, name, counted(name, getattr(slim, name)))
+    fragments, with_plan = slim.create_fragments, Hypothesis.with_plan
+
+    def create_fragments_counted(nodes, obs, ts):
+        found = fragments(nodes, obs, ts)
+        counts["two fragments"] += len(found) > 1
+        return found
+
+    def with_plan_counted(h, plan, prior=1.0):
+        counts["appends"] += 1
+        return with_plan(h, plan, prior)
+
+    monkeypatch.setattr(slim, "create_fragments", create_fragments_counted)
+    monkeypatch.setattr(Hypothesis, "with_plan", with_plan_counted)
+
+    @settings(max_examples=200, deadline=None)
+    @given(libraries(), st.integers(0, 10_000))
+    def check(lib, seed):
+        try:
+            names = simulate_agent(lib, seed)[:5]
+        except LibraryError:  # a deep acyclic plan can outgrow the sampler's budget
+            return
+        engine = SlimEngine(lib)
+        hyps, oracle = (EMPTY_HYPOTHESIS,), {frozenset()}
+        for ts, name in enumerate(names, start=1):
+            sym = lib.sym(name)
+            try:
+                hyps = engine.step(hyps, sym, ts)
+            except RecognitionFailure:
+                hyps = ()
+            oracle = slim_oracle_step(lib, oracle, sym, ts)
+            assert canons(hyps) == {forest_canon(lib, list(h)) for h in oracle}, ts
+            if not hyps or len(hyps) > 200:  # keeps the oracle's next step cheap
+                return
+
+    check()
+    assert all(counts.values()), counts
 
 
 def test_bottom_up_repeated_observations_stay_alive(lib):

@@ -47,6 +47,8 @@ def test_parse_plan_round_trips(nodes):
     ("a@", "@"),
     ("a@x", "@x"),
     ("X(A(a@) B? C?)", "@)"),
+    ("a@0", "@0"),
+    ("X(A(a@0) B? C?)", "@0)"),
 ])
 def test_parse_plan_names_a_bad_marker_or_timestamp(nodes, text, fault):
     with pytest.raises(ValueError) as raised:
