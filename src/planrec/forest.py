@@ -45,12 +45,11 @@ weights.
 
 Each node of a step is n(u) of one old node u. After a step with a fragment
 none is dropped, and n keeps path sets apart: taking the newest observation
-out of the paths of n(u) (dropping the appended fragment, or mapping the
-combination back to its one plan) gives exactly the paths of u, and no old
-node's paths hold it, so a minimal DAG stays minimal. A step with no fragment can drop dead paths and leave two
-nodes with one path set. The DAG then still holds exactly the locals,
-deterministically, and :func:`best_paths` and the compile's walk
-(``slim._compile_paths``) need no more.
+out of n(u)'s paths (dropping the appended fragment, or mapping the
+combination back to its one plan) gives exactly u's, and no old node's
+paths hold it, so a minimal DAG stays minimal. A step with no fragment can
+drop dead paths and leave two nodes with one path set; the DAG is then still
+deterministic, all that :func:`best_paths` and ``slim._compile_paths`` need.
 
 :func:`best_paths` is the exact top-k over the DAG that
 :func:`~planrec.slim.k_best` reads for a closed set.

@@ -128,8 +128,7 @@ def _trees_from(nodes: NodeTable, sym: int, target: int, budget: int) -> list[Le
     if budget > 0 and not lib.is_terminal(sym):
         for rule in lib.rules_for(sym):
             for pos, child in enumerate(rule.rhs):
-                # a leftmost tree goes down positions with no ordering
-                # predecessor, and a terminal other than the target yields none
+                # only leftmost slots; a terminal that is not the target derives no tree
                 if rule.preds[pos] or (child != target and lib.is_terminal(child)):
                     continue
                 for sub in _trees_from(nodes, child, target, budget - 1):

@@ -75,8 +75,7 @@ def run_recognition(library_path: str | Path, obs_path: str | Path, algorithm: s
                     emit_path: str | Path | None = None,
                     csv_path: str | Path | None = None,
                     step_hook: StepHook | None = None) -> RunRecord:
-    """Run one engine over one observation file, recording per-step metrics
-    under the file's stem as the instance name.
+    """Run one engine over one observation file, named in the records by its stem.
 
     Raises the engine's :class:`RecognitionFailure` when some observation
     cannot be explained, and an :class:`ObservationError` naming
