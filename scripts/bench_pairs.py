@@ -144,10 +144,18 @@ def parse_run(stdout: str) -> dict:
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
-        cwd=checkout, capture_output=True, text=True)
+    """One perfbench run's :func:`parse_run` result. A run that exits with
+    neither 0 nor 1, or that is still running after ``20 * seconds + 600``
+    seconds (far beyond its passes, set-up and output check), raises
+    :class:`RuntimeError`."""
+    limit = 20 * seconds + 600
+    try:
+        proc = subprocess.run(
+            [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+             "--seconds", str(seconds), "--trace", "0"],
+            cwd=checkout, capture_output=True, text=True, timeout=limit)
+    except subprocess.TimeoutExpired as err:
+        raise RuntimeError(f"{checkout}: perfbench did not exit within {limit:g} s") from err
     if proc.returncode not in (0, 1):  # 1: an output check failed; still a result
         raise RuntimeError(f"{checkout}: perfbench exited {proc.returncode}\n{proc.stderr}")
     return parse_run(proc.stdout)

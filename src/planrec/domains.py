@@ -18,6 +18,7 @@ reproduce libraries and observation sequences bit-for-bit anywhere.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
@@ -112,12 +113,14 @@ def simulate_agent(lib: PlanLibrary, seed: int) -> list[str]:
     predecessors are all done, and realized at the next timestamp. Returns
     the terminal names in execution order, one linear extension of the
     plan's ordering constraints. Raises :class:`LibraryError` when a sampled
-    nonterminal has no rules or the plan outgrows an expansion budget (a
-    heavily recursive library)."""
+    nonterminal has no rules or, in a recursive library, the plan outgrows
+    an expansion budget of 8 per nonterminal. An acyclic library's plans end
+    by depth, however bushy, so it gets no budget."""
     rng = random.Random(seed)
     nodes = NodeTable(lib)
     goal = lib.goals[rng.randrange(len(lib.goals))]
-    plan = _sample_plan(nodes, goal, rng, [8 * max(1, len(lib.nonterminals))])
+    budget = math.inf if lib.acyclic_depth is not None else 8 * max(1, len(lib.nonterminals))
+    plan = _sample_plan(nodes, goal, rng, [budget])
     sequence: list[str] = []
     while plan.open_count:
         entries = enabled_frontier(plan)
@@ -127,7 +130,7 @@ def simulate_agent(lib: PlanLibrary, seed: int) -> list[str]:
     return sequence
 
 
-def _sample_plan(nodes: NodeTable, sym: int, rng: random.Random, budget: list[int]) -> PlanNode:
+def _sample_plan(nodes: NodeTable, sym: int, rng: random.Random, budget: list[float]) -> PlanNode:
     """A complete plan for ``sym`` with every leaf open, its rules drawn by
     probability in pre-order; ``budget[0]`` counts the expansions left."""
     lib = nodes.lib

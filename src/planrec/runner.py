@@ -146,9 +146,13 @@ def emit_hypotheses(hyps: Iterable[Hypothesis], path: str | Path):
     """One hypothesis per line: ``weight<TAB>plan{;plan}``, ordered by weight
     descending then canonical form ascending (:func:`~planrec.trees.rank_key`:
     the lines need every ``canon``, so sorting by the built strings is
-    cheaper than :func:`~planrec.trees.ranked`). Byte-deterministic."""
-    lines = [f"{h.weight!r}\t{h.canon}" for h in sorted(hyps, key=rank_key)]
-    Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    cheaper than :func:`~planrec.trees.ranked`). Byte-deterministic. Each
+    line is written as it is formatted, so the file is never held whole in
+    memory; the sort ends before ``path`` is opened, so a hypothesis that
+    cannot be ranked leaves an existing file as it was."""
+    ordered = sorted(hyps, key=rank_key)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(f"{h.weight!r}\t{h.canon}\n" for h in ordered)
 
 
 def write_metrics_csv(records: Iterable[RunRecord], path: str | Path):

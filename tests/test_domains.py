@@ -226,6 +226,17 @@ def test_simulation_stops_at_the_expansion_budget():
     assert sorted(seq) == ["a"] * (len(seq) - 1) + ["c"]
 
 
+def test_simulation_sets_no_budget_on_bushy_acyclic_libraries():
+    # a plan of 1 + 3 + 9 + 27 = 40 expansions, beyond 8 per nonterminal
+    lib = parse_library(
+        "terminals: a\nnonterminals: N0 N1 N2 N3\ngoals: N0\n"
+        "rule: N0 -> N1 N1 N1 | | 1.0\nrule: N1 -> N2 N2 N2 | | 1.0\n"
+        "rule: N2 -> N3 N3 N3 | | 1.0\nrule: N3 -> a | | 1.0"
+    )
+    assert lib.acyclic_depth is not None
+    assert simulate_agent(lib, 0) == ["a"] * 27
+
+
 @pytest.mark.parametrize("params, seeds, digest", [
     (BENCH_A, BENCH_A_INSTANCE_SEEDS, "ccd83c09f7bd473d"),
     (BENCH_B, BENCH_B_INSTANCE_SEEDS, "dbe86d358cb9a909"),

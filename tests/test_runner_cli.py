@@ -1,9 +1,12 @@
+import tracemalloc
+
 import pytest
 
 from planrec.cli import main
-from planrec.grammar import ObservationError
+from planrec.domains import generate_domain, simulate_agent
+from planrec.grammar import ObservationError, parse_library
 from planrec.metrics import predicted_bound
-from planrec.phatt import RecognitionFailure
+from planrec.phatt import PhattEngine, RecognitionFailure
 from planrec.runner import (
     CSV_COLUMNS,
     emit_hypotheses,
@@ -13,8 +16,10 @@ from planrec.runner import (
     run_recognition,
 )
 from planrec.slim import SlimEngine, TopDownConfig
+from planrec.trees import EMPTY_HYPOTHESIS, rank_key
 
 from conftest import RUNNING_EXAMPLE, drive_engine
+from test_acceptance import BENCH_B
 
 
 @pytest.fixture
@@ -126,6 +131,65 @@ def test_emit_hypotheses_format(workspace, lib):
     assert out.read_bytes() == (tmp / "dump2.txt").read_bytes()
     emit_hypotheses([], tmp / "empty.txt")
     assert (tmp / "empty.txt").read_text() == ""
+
+
+def whole_text(hyps):
+    """The hypothesis file's bytes, built as one string."""
+    return "".join(f"{h.weight!r}\t{h.canon}\n" for h in sorted(hyps, key=rank_key)).encode()
+
+
+def bench_b_2071_phatt():
+    """PHATT's 9,660 final hypotheses on benchmark B's instance 2071."""
+    lib = generate_domain(BENCH_B)
+    return drive_engine(PhattEngine(lib), simulate_agent(lib, 2071))[0]
+
+
+AMBIGUOUS = ("terminals: a b\nnonterminals: X\ngoals: X\n"
+             "rule: X -> a b | | 0.5\nrule: X -> a b | (1,2) | 0.5")
+
+
+@pytest.mark.parametrize("make", [
+    bench_b_2071_phatt,
+    lambda: drive_engine(SlimEngine(parse_library(RUNNING_EXAMPLE)), ["a", "c", "b"])[0],
+    lambda: drive_engine(PhattEngine(parse_library(AMBIGUOUS)), ["a", "b"])[0],
+    lambda: [],
+], ids=["phatt", "slim-locals", "ambiguous-rhs", "empty"])
+def test_emit_hypotheses_writes_the_whole_text(tmp_path, make):
+    hyps = make()
+    emit_hypotheses(hyps, tmp_path / "out.txt")
+    assert (tmp_path / "out.txt").read_bytes() == whole_text(hyps)
+
+
+def test_emit_hypotheses_ambiguous_rhs_marks_rules(tmp_path):
+    hyps = drive_engine(PhattEngine(parse_library(AMBIGUOUS)), ["a", "b"])[0]
+    emit_hypotheses(hyps, tmp_path / "out.txt")
+    lines = (tmp_path / "out.txt").read_text().splitlines()
+    assert lines and all("X#" in line for line in lines)
+
+
+def test_emit_hypotheses_streams_its_lines(tmp_path):
+    # a first emit builds every canon, which the hypotheses keep; beyond
+    # them the writer holds a line at a time, not the file (a list of lines,
+    # their joined text and its encoded bytes came to 4.35 times the file)
+    hyps = bench_b_2071_phatt()
+    assert len(hyps) == 9660 and all(h._canon is None for h in hyps)
+    path = tmp_path / "out.txt"
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        emit_hypotheses(hyps, path)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * path.stat().st_size
+
+
+def test_emit_hypotheses_keeps_the_file_when_ranking_fails(tmp_path):
+    path = tmp_path / "out.txt"
+    path.write_bytes(b"1.0\tX(a@1)\n")
+    with pytest.raises(AttributeError):
+        emit_hypotheses([EMPTY_HYPOTHESIS, object()], path)
+    assert path.read_bytes() == b"1.0\tX(a@1)\n"
 
 
 def test_metrics_csv_schema(workspace):

@@ -168,6 +168,20 @@ def test_bench_pairs_claims_nothing_over_failures():
     assert pairs.failed_share([{"attempted": 0, "failed": 0}]) == 0.0
 
 
+def test_bench_pairs_reports_a_hung_run(tmp_path, monkeypatch):
+    pairs = load_script("bench_pairs.py")
+    limits = []
+
+    def hung(args, timeout=None, **kwargs):
+        limits.append(timeout)
+        raise subprocess.TimeoutExpired(args, timeout)
+
+    monkeypatch.setattr(pairs.subprocess, "run", hung)
+    with pytest.raises(RuntimeError, match="perfbench did not exit within 1400 s"):
+        pairs.run_once(tmp_path, "a3-paper", 1, 40.0)
+    assert limits == [1400.0]  # derived from --seconds: 20 * 40 + 600
+
+
 BENCH_ENTRY_KEYS = {"commit", "python", "seeds", "runs", "correct", "kernel_ms", "metrics"}
 
 
